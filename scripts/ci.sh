@@ -25,6 +25,13 @@
 # BENCH_deadline.json, re-checked from the JSON by a python gate. All
 # tracked cross-PR. Skippable with --skip-bench.
 #
+# The bench stage ends with perfbench/selftest.py, the end-to-end
+# benchmark's check of itself: short untraced and traced runs of every
+# workload must pass their output checks and print exactly the metrics
+# (names and units) that BENCHMARK.json declares, and faults planted in
+# the benchmark's echo and sink must fail the run. It builds into
+# $CARGO_TARGET_DIR/perfbench (default .bench_build/) with Ninja.
+#
 # A grep lint runs before everything: src/ and tests/ must read time only
 # through the §15 ClockSource seam, never raw std::chrono clocks.
 #
@@ -145,6 +152,9 @@ if bad:
 print("DEADLINE acceptance holds: no expired effects, goodput retained, "
       "grid-deterministic")
 PYEOF
+
+  echo "==> bench: end-to-end benchmark self-test (perfbench/selftest.py)"
+  python3 perfbench/selftest.py
 fi
 
 if [[ "$SKIP_CHAOS" -eq 1 ]]; then

@@ -41,10 +41,6 @@ constexpr GuardianId kPrimordialId = 1;
 constexpr char kMetaLogName[] = "node/meta";
 constexpr char kNextIdCell[] = "node/next_guardian_id";
 constexpr char kDedupLogName[] = "node/dedup";
-// Compact the dedup journal (checkpoint + re-append of the live cache)
-// after this many appends, so it stays proportional to the reply cache
-// rather than to message volume.
-constexpr uint64_t kDedupCompactEvery = 512;
 
 // Sentinel for "this envelope carries no deadline budget" in the
 // per-batch remaining-budget vector (deadline_micros == 0 on the wire).
@@ -1387,7 +1383,15 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
        {"to", Value::OfPort(env.target)},
        {"cmd", Value::Str(env.command)},
        {"args", Value::Array(env.args)}});
-  if (!g_skip_dedup_journal.load(std::memory_order_relaxed)) {
+  auto cache_reply = [&] {
+    std::lock_guard<std::mutex> lock(dedup_mu_);
+    dedup_.CacheReply(pending.session, pending.seq,
+                      DedupTable::CachedReply{env.command, env.args,
+                                              env.target});
+  };
+  if (g_skip_dedup_journal.load(std::memory_order_relaxed)) {
+    cache_reply();
+  } else {
     std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
     Wal dedup_log(&stable_store_, kDedupLogName);
     crash_dedup_before_journal.Hit();
@@ -1400,6 +1404,10 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
     // never hears it; the retry must be answered from the recovered cache.
     crash_dedup_after_journal.Hit();
     counters_.dedup_journaled->Inc();
+    // Cache while still holding the log lock: a compaction (below, or in
+    // another replying thread) snapshots the cache in place of the log, so
+    // every reply already in the log must be in the cache by then.
+    cache_reply();
     if (++dedup_appends_since_compact_ >= kDedupCompactEvery) {
       // Compact: keep only the live reply cache (the meta-log pattern —
       // checkpoint, then re-append). A crash mid-compaction can lose dedup
@@ -1432,12 +1440,6 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
         (void)appended;
       }
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    dedup_.CacheReply(pending.session, pending.seq,
-                      DedupTable::CachedReply{env.command, env.args,
-                                              env.target});
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.replies_journaled;

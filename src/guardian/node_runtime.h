@@ -184,6 +184,10 @@ class NodeRuntime {
   // retries recognisable as duplicates at the receiver.
   uint64_t SendSession() const { return send_session_.load(); }
   uint64_t NextDedupSeq() { return dedup_seq_.fetch_add(1) + 1; }
+  // The dedup journal is compacted (checkpoint, then re-append of the live
+  // reply cache) by every this-many-th append, so it stays proportional to
+  // the reply cache rather than to message volume.
+  static constexpr uint64_t kDedupCompactEvery = 512;
   // Planted-bug switch for the chaos harness: when true, MaybeJournalReply
   // skips the durable dedup-journal append (the in-memory table and reply
   // cache still work). Across a crash the at-most-once floor is then lost,

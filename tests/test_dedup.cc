@@ -107,6 +107,11 @@ PortType CounterPortType() {
   return PortType("count_req", {MessageSig{"inc", {}, {"val"}}});
 }
 
+PortType CounterReplyType() {
+  return PortType("count_reply",
+                  {MessageSig{"val", {ArgType::Of(TypeTag::kInt)}, {}}});
+}
+
 class DedupSystemTest : public ::testing::Test {
  protected:
   DedupSystemTest() : system_(MakeConfig()) {
@@ -198,10 +203,8 @@ TEST_F(DedupSystemTest, NonIdempotentRetryExecutesExactlyOnce) {
   RemoteCallOptions options;
   options.timeout = Millis(150);  // < the 400ms service time
   options.max_attempts = 5;
-  PortType reply_type("count_reply", {MessageSig{"val", {ArgType::Of(
-                                          TypeTag::kInt)}, {}}});
-  auto reply = RemoteCall(*client_, port->name(), "inc", {}, reply_type,
-                          options);
+  auto reply = RemoteCall(*client_, port->name(), "inc", {},
+                          CounterReplyType(), options);
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->command, "val");
   EXPECT_GE(reply->attempts, 2);  // the slow first attempt really timed out
@@ -257,6 +260,65 @@ TEST_F(DedupSystemTest, CachedReplyAnswersDuplicateAndSurvivesCrash) {
   EXPECT_TRUE(db.CheckInvariants());
   EXPECT_TRUE(db.IsReserved("p0", "d0"));
   EXPECT_EQ(db.Passengers("d0").size(), 1u);
+}
+
+TEST_F(DedupSystemTest, CompactionKeepsTheReplyThatTriggeredIt) {
+  // Regression: a reply used to be cached only after the journal lock was
+  // released, so the compaction its own append triggered snapshotted the
+  // cache without it, truncated the log and re-appended the rest. After a
+  // crash its sender's session had no record at all: the duplicate was
+  // classified fresh and re-executed.
+  auto flight = region_->Create<FlightGuardian>(
+      "flight", "f2", MakeFlight(2, 1 << 10).ToArgs(), /*persistent=*/true);
+  ASSERT_TRUE(flight.ok());
+  const PortName flight_port = (*flight)->ProvidedPorts()[0];
+
+  // Fillers: tracked calls from the client node, so the region journals
+  // one reply per call.
+  Port* counter = server_->AddPort(CounterPortType(), 16);
+  server_->Fork("counter", [this, counter] {
+    for (;;) {
+      auto request = server_->Receive(counter, Micros::max());
+      if (!request.ok()) {
+        return;
+      }
+      (void)server_->Send(request->reply_to, "val", {Value::Int(0)});
+    }
+  });
+  const uint64_t fillers = NodeRuntime::kDedupCompactEvery - 1;
+  for (uint64_t i = 0; i < fillers; ++i) {
+    auto reply = RemoteCall(*client_, counter->name(), "inc", {},
+                            CounterReplyType());
+    ASSERT_TRUE(reply.ok()) << "filler " << i << ": " << reply.status();
+  }
+  ASSERT_EQ(system_.metrics().CounterValue("node.dedup.journaled"), fillers);
+
+  // The triggering reply: the only operation of a second node's session,
+  // so no other record of that session can restore its floor.
+  NodeRuntime& other_node = system_.AddNode("other");
+  other_node.RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  Guardian* other = *other_node.Create<ShellGuardian>("shell", "other", {});
+  Port* reply_port = other->AddPort(ReservationReplyType(), 8);
+  const uint64_t seq = other_node.NextDedupSeq();
+  auto send = [&] {
+    return other->SendFull(flight_port, "reserve",
+                           {Value::Str("p0"), Value::Str("d0")},
+                           reply_port->name(), PortName{}, seq);
+  };
+  ASSERT_TRUE(send().ok());
+  auto first = other->Receive(reply_port, Millis(2000));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->command, "ok");
+  ASSERT_EQ(system_.metrics().CounterValue("node.dedup.journaled"),
+            NodeRuntime::kDedupCompactEvery);
+
+  region_->Crash();
+  ASSERT_TRUE(region_->Restart().ok());
+  ASSERT_TRUE(send().ok());
+  auto recovered = other->Receive(reply_port, Millis(5000));
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->command, "ok") << "the reserve re-executed";
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"), 1u);
 }
 
 TEST_F(DedupSystemTest, CreationRetriesConvergeOnOneGuardian) {

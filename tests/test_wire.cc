@@ -32,8 +32,9 @@ TEST_P(VarintRoundTrip, Unsigned) {
 }
 
 TEST_P(VarintRoundTrip, SignedZigZagBothSigns) {
+  // Negate in unsigned arithmetic: -INT64_MIN overflows a signed negation.
   for (int64_t v : {static_cast<int64_t>(GetParam()),
-                    -static_cast<int64_t>(GetParam())}) {
+                    static_cast<int64_t>(0 - GetParam())}) {
     WireEncoder enc;
     enc.PutVarI64(v);
     WireDecoder dec(enc.bytes());
@@ -117,6 +118,94 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
     data[i] ^= 0x10;
     EXPECT_NE(Crc32(data), clean) << "flip at " << i;
     data[i] ^= 0x10;
+  }
+}
+
+// The definition of the checksum: one byte at a time, one bit at a time, no
+// tables. Crc32's table-driven kernel must agree with it on every input.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+Bytes RandomBytes(uint64_t seed, size_t size) {
+  Rng rng(seed);
+  Bytes out(size);
+  for (auto& b : out) {
+    b = static_cast<uint8_t>(rng.NextBelow(256));
+  }
+  return out;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryShortLengthAndOffset) {
+  // Lengths 0-64 cover the tail-only path, exactly one and several 16-byte
+  // blocks, and every tail length; offsets 0-15 start the blocks unaligned.
+  const Bytes buf = RandomBytes(1, 64 + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t size = 0; size <= 64; ++size) {
+      EXPECT_EQ(Crc32(buf.data() + offset, size),
+                BytewiseCrc32(buf.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAroundEveryBlockBoundary) {
+  // 16k-1, 16k and 16k+1 for every k up to a 9 KiB message (an 8 KiB blob
+  // plus envelope), each at a start offset cycling through 0-15.
+  constexpr size_t kMaxBlocks = 9 * 1024 / 16;
+  const Bytes buf = RandomBytes(2, kMaxBlocks * 16 + 1 + 15);
+  for (size_t k = 1; k <= kMaxBlocks; ++k) {
+    const uint8_t* start = buf.data() + k % 16;
+    for (size_t size : {16 * k - 1, 16 * k, 16 * k + 1}) {
+      ASSERT_EQ(Crc32(start, size), BytewiseCrc32(start, size))
+          << "offset " << k % 16 << " size " << size;
+    }
+  }
+}
+
+TEST(Crc32Test, DetectsBurstErrorsOfUpTo32BitsIn8KiB) {
+  // A CRC of degree 32 detects every error burst of length <= 32. For each
+  // burst length, bursts start at every bit of the first and last 64 bits
+  // and at a stride through the middle; the interior bits are random, both
+  // ends always flipped.
+  constexpr size_t kBits = 8 * 1024 * 8;
+  Bytes data = RandomBytes(3, kBits / 8);
+  const uint32_t clean = Crc32(data);
+  std::vector<size_t> starts;
+  for (size_t bit = 0; bit < kBits; ++bit) {
+    if (bit < 64 || bit >= kBits - 64 || bit % 509 == 0) {
+      starts.push_back(bit);
+    }
+  }
+  Rng rng(4);
+  for (size_t len = 1; len <= 32; ++len) {
+    for (size_t start : starts) {
+      if (start + len > kBits) {
+        break;
+      }
+      std::vector<size_t> flipped;
+      for (size_t i = 0; i < len; ++i) {
+        if (i == 0 || i + 1 == len || rng.NextBool(0.5)) {
+          flipped.push_back(start + i);
+        }
+      }
+      auto flip = [&] {
+        for (size_t bit : flipped) {
+          data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+      };
+      flip();
+      EXPECT_NE(Crc32(data), clean)
+          << "burst of " << len << " bits at bit " << start;
+      flip();
+    }
   }
 }
 
