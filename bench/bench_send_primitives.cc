@@ -120,7 +120,6 @@ struct SendWorld {
   explicit SendWorld(Micros latency) : world(MakeConfig(latency)) {
     NodeRuntime& a = world.system.AddNode("a");
     NodeRuntime& b = world.system.AddNode("b");
-    sink_node = &b;
     b.RegisterGuardianType("sink", MakeFactory<SinkGuardian>());
     driver = world.Shell(a, "driver");
     auto created = b.Create<SinkGuardian>("sink", "sink", {}, false);
@@ -143,7 +142,6 @@ struct SendWorld {
   BenchWorld world;
   Guardian* driver = nullptr;
   SinkGuardian* sink = nullptr;
-  NodeRuntime* sink_node = nullptr;
   PortName sink_port;
 };
 
@@ -342,10 +340,10 @@ void BM_DuplicateStorm(benchmark::State& state) {
     world.world.system.network().DrainForTesting();
     outcome.executed += world.sink->asks_total_.load();
     outcome.distinct += static_cast<int64_t>(world.sink->AsksDistinct());
-    outcome.duplicated +=
-        world.world.system.network().stats().packets_duplicated;
-    outcome.suppressed += world.sink_node->stats().duplicates_suppressed;
-    outcome.replayed += world.sink_node->stats().replies_replayed;
+    const MetricsRegistry& metrics = world.world.system.metrics();
+    outcome.duplicated += metrics.CounterValue("net.dup.injected");
+    outcome.suppressed += metrics.CounterValue("deliver.dup.suppressed");
+    outcome.replayed += metrics.CounterValue("deliver.dup.replayed");
     state.ResumeTiming();
   }
   state.counters["dup_pct"] = dup_pct;

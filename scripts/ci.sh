@@ -22,8 +22,11 @@
 # leaves BENCH_wire_codec.json; bench_overload verifies the deadline
 # acceptance criteria (zero expired executions, goodput retention at 2x
 # offered load, shed-count grid determinism) and leaves
-# BENCH_deadline.json, re-checked from the JSON by a python gate. All
-# tracked cross-PR. Skippable with --skip-bench.
+# BENCH_deadline.json, re-checked from the JSON by a python gate;
+# bench_send_primitives' BM_DuplicateStorm verifies at-most-once
+# execution under a duplicate storm (exit 1 on any re-execution, or when
+# injected duplicates are never suppressed) and leaves
+# BENCH_sendprims.json. All tracked cross-PR. Skippable with --skip-bench.
 #
 # The bench stage ends with perfbench/selftest.py, the end-to-end
 # benchmark's check of itself: short untraced and traced runs of every
@@ -152,6 +155,9 @@ if bad:
 print("DEADLINE acceptance holds: no expired effects, goodput retained, "
       "grid-deterministic")
 PYEOF
+
+  echo "==> bench: at-most-once gate (bench_send_primitives BM_DuplicateStorm)"
+  (cd build && ./bench/bench_send_primitives --benchmark_filter=BM_DuplicateStorm)
 
   echo "==> bench: end-to-end benchmark self-test (perfbench/selftest.py)"
   python3 perfbench/selftest.py

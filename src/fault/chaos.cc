@@ -1150,14 +1150,6 @@ void ChaosRun::CheckFinal() {
                  "calls " + std::to_string(calls) + " != outcome sum " +
                      std::to_string(outcomes));
   }
-  const NetworkStats s = network().stats();
-  const uint64_t dup_injected = m.CounterValue("net.dup.injected");
-  if (dup_injected != s.packets_duplicated) {
-    AddViolation(-1, "ledger.dup",
-                 "net.dup.injected " + std::to_string(dup_injected) +
-                     " != packets_duplicated " +
-                     std::to_string(s.packets_duplicated));
-  }
   uint64_t enq = 0;
   uint64_t done = 0;
   for (int k = 0; k < 64; ++k) {
@@ -1177,16 +1169,9 @@ void ChaosRun::FillCounts() {
   ChaosCounts& c = report_->counts;
   c.net = network().stats();
   MetricsRegistry& m = metrics();
-  for (int k = 0; k < 64; ++k) {
-    c.delivered +=
-        m.CounterValue("net.shard." + std::to_string(k) + ".delivered");
-  }
-  for (NodeRuntime* node : {world_->region, world_->annex, world_->client}) {
-    const NodeStats ns = node->stats();
-    c.executions += ns.messages_delivered;
-    c.suppressed += ns.duplicates_suppressed;
-    c.replayed += ns.replies_replayed;
-  }
+  c.executions = m.CounterValue("deliver.delivered");
+  c.suppressed = m.CounterValue("deliver.dup.suppressed");
+  c.replayed = m.CounterValue("deliver.dup.replayed");
   c.partition_drops = m.CounterValue("net.drop.partition");
   c.oneway_partition_drops = m.CounterValue("net.drop.partition_oneway");
   c.link_epochs = network().link_epoch();
@@ -1304,7 +1289,6 @@ std::string ChaosCounts::Diff(const ChaosCounts& other) const {
   cmp("packets_duplicated", net.packets_duplicated,
       other.net.packets_duplicated);
   cmp("bytes_sent", net.bytes_sent, other.net.bytes_sent);
-  cmp("delivered", delivered, other.delivered);
   cmp("executions", executions, other.executions);
   cmp("suppressed", suppressed, other.suppressed);
   cmp("replayed", replayed, other.replayed);

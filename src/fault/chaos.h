@@ -21,9 +21,9 @@
 //   - no expired op produces an effect: every kOverloadStorm op carries a
 //     1us wire budget it cannot survive, and the tally witness proves none
 //     of them ever executed (§16 deadline-aware shedding)
-//   - metric ledger identities, e.g.
+//   - metric ledger identities across layers, e.g.
 //     sendprims.reliable.calls == ok + exhausted + deadline_exceeded
-//     + hard_fail, and net.dup.injected == packets_duplicated
+//     + hard_fail, and the shards' enqueued == delivered + dropped
 //
 // On a violation the engine dumps the seed, the full event schedule and
 // DumpTrace output; ShrinkSchedule then delta-debugs the schedule (ddmin
@@ -143,10 +143,9 @@ struct ChaosConfig {
 // deterministic mode (the test_batching contract, extended to chaos runs).
 struct ChaosCounts {
   NetworkStats net;
-  uint64_t delivered = 0;    // deliver.delivered (per-shard sum)
-  uint64_t executions = 0;   // NodeStats::messages_delivered, all nodes
-  uint64_t suppressed = 0;   // duplicate deliveries recognised and stopped
-  uint64_t replayed = 0;     // ...of which answered from the reply cache
+  uint64_t executions = 0;   // deliver.delivered, all nodes
+  uint64_t suppressed = 0;   // deliver.dup.suppressed: duplicates stopped
+  uint64_t replayed = 0;     // deliver.dup.replayed: ...answered from cache
   uint64_t partition_drops = 0;         // net.drop.partition
   uint64_t oneway_partition_drops = 0;  // net.drop.partition_oneway
   uint64_t link_epochs = 0;  // Network::link_epoch at the end of the run

@@ -602,11 +602,6 @@ Status NodeRuntime::RestartImpl() {
   return OkStatus();
 }
 
-NodeStats NodeRuntime::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
 uint64_t NodeRuntime::NextMsgId() {
   // Node id in the high bits keeps ids globally unique.
   return (static_cast<uint64_t>(id_) << 40) | (msg_counter_.fetch_add(1) + 1);
@@ -659,10 +654,6 @@ Status NodeRuntime::Transmit(Envelope env) {
     system_->network().Send(std::move(packet));
   }
   counters_.sent->Inc();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.messages_sent;
-  }
   return OkStatus();
 }
 
@@ -683,8 +674,6 @@ void NodeRuntime::SendSystemFailure(const PortName& to,
   Status st = Transmit(std::move(env));
   (void)st;
   counters_.failures_synthesized->Inc();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.failures_synthesized;
 }
 
 void NodeRuntime::SendAck(const Received& message) {
@@ -713,8 +702,6 @@ void NodeRuntime::SendAck(const Received& message) {
   Status st = Transmit(std::move(env));
   (void)st;
   counters_.acks_sent->Inc();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.acks_sent;
 }
 
 void NodeRuntime::NoteReceived(const Received& message) {
@@ -765,8 +752,6 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
         system_->traces().Record(trace_id, id_,
                                  "port.drop.corrupt_fragment",
                                  added.status().message());
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.discarded_corrupt;
         continue;
       }
       std::optional<BufferSlice> message = added.take();
@@ -803,10 +788,6 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
       system_->traces().Record(completed_traces[i], id_,
                                "port.drop.decode_error",
                                env.status().message());
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.discarded_decode_error;
-      }
       // The header may still be readable; if the sender asked for replies,
       // tell it the message was thrown away.
       auto header = DecodeEnvelopeHeader(completed[i], system_->limits());
@@ -1092,8 +1073,6 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       counters_.delivered->Inc();
       system_->traces().Record(e.trace_id, id_, "port.enqueued",
                                e.target.ToString());
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.messages_delivered;
     }
     i = end;
   }
@@ -1121,20 +1100,6 @@ void NodeRuntime::FinishUnroutable(const Envelope& env, DropKind kind) {
   }
   system_->traces().Record(env.trace_id, id_, trace_event,
                            env.target.ToString());
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    switch (kind) {
-      case DropKind::kNoGuardian:
-        ++stats_.discarded_no_guardian;
-        break;
-      case DropKind::kNoPort:
-        ++stats_.discarded_no_port;
-        break;
-      case DropKind::kTypeMismatch:
-        ++stats_.discarded_type_mismatch;
-        break;
-    }
-  }
   SendSystemFailure(env.reply_to, reason, env.trace_id);
 }
 
@@ -1142,10 +1107,6 @@ void NodeRuntime::FinishExpired(const Envelope& env) {
   counters_.expired_shed->Inc();
   system_->traces().Record(env.trace_id, id_, "deliver.expired.shed",
                            env.command + " -> " + env.target.ToString());
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.expired_shed;
-  }
   // Ack port first: the send primitives wait there, so a SyncSend learns
   // immediately that its budget died in flight instead of burning the
   // rest of the attempt on an ack that can never come.
@@ -1173,10 +1134,6 @@ void NodeRuntime::FinishExpiredAtDequeue(Received message) {
   counters_.expired_dequeue->Inc();
   system_->traces().Record(message.trace_id, id_, "deliver.expired.queue",
                            message.command);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.expired_dequeue;
-  }
   const PortName to =
       !message.ack_to.IsNull() ? message.ack_to : message.reply_to;
   SendSystemFailure(to, kExpiredQueueReason, message.trace_id);
@@ -1216,10 +1173,6 @@ void NodeRuntime::FinishPushFailed(const Envelope& env, const Port& port,
     counters_.drop_port_retired->Inc();
     system_->traces().Record(env.trace_id, id_, "port.drop.retired",
                              env.target.ToString());
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.discarded_port_retired;
-    }
     SendSystemFailure(env.reply_to, "target port retired", env.trace_id);
     return;
   }
@@ -1236,10 +1189,6 @@ void NodeRuntime::FinishPushFailed(const Envelope& env, const Port& port,
     system_->traces().Record(env.trace_id, id_, "flow.nack_shed",
                              env.target.ToString() + " fc_port " +
                                  env.fc_port.ToString());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.discarded_port_full;
   }
   if (system_->config().flow.enabled) {
     // The failure doubles as a flow nack: it carries the port's depth
@@ -1260,10 +1209,6 @@ void NodeRuntime::FinishSuppressed(const Envelope& env,
   system_->traces().Record(env.trace_id, id_, "dedup.suppressed",
                            env.command + " seq " +
                                std::to_string(env.dedup_seq));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.duplicates_suppressed;
-  }
   // A suppressed duplicate earns a replacement receipt acknowledgement —
   // but only if the original was genuinely dequeued (its ack went out and
   // may have been lost). Without the replacement, a ReliableSend whose
@@ -1283,8 +1228,6 @@ void NodeRuntime::FinishSuppressed(const Envelope& env,
     Status st = Transmit(std::move(ack));
     (void)st;
     counters_.acks_sent->Inc();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.acks_sent;
   }
   if (verdict == DedupTable::Verdict::kReplay) {
     // Answer from the cache: a fresh msg_id, the duplicate's trace id so
@@ -1304,8 +1247,6 @@ void NodeRuntime::FinishSuppressed(const Envelope& env,
     Status st = Transmit(std::move(reply));
     (void)st;
     counters_.dup_replayed->Inc();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.replies_replayed;
   }
 }
 
@@ -1346,8 +1287,6 @@ void NodeRuntime::SendFlowNack(const Envelope& dropped, const Port& port) {
   Status st = Transmit(std::move(env));
   (void)st;
   counters_.failures_synthesized->Inc();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.failures_synthesized;
 }
 
 void NodeRuntime::SetSkipDedupJournalForTesting(bool skip) {
@@ -1403,7 +1342,9 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
     // The logged-but-not-sent window: the reply is durable but the sender
     // never hears it; the retry must be answered from the recovered cache.
     crash_dedup_after_journal.Hit();
-    counters_.dedup_journaled->Inc();
+    if (st.ok()) {
+      counters_.dedup_journaled->Inc();
+    }
     // Cache while still holding the log lock: a compaction (below, or in
     // another replying thread) snapshots the cache in place of the log, so
     // every reply already in the log must be in the cache by then.
@@ -1441,8 +1382,6 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
       }
     }
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.replies_journaled;
 }
 
 Status NodeRuntime::RecoverDedup() {
@@ -1486,28 +1425,6 @@ Status NodeRuntime::RecoverDedup() {
 std::string NodeRuntime::Report() const {
   std::string out = "node '" + name_ + "' (id " + std::to_string(id_) + ") " +
                     (up_.load() ? "up" : "down") + "\n";
-  NodeStats s = stats();
-  auto line = [&out](const char* label, uint64_t v) {
-    if (v != 0) {
-      out += "  " + std::string(label) + ": " + std::to_string(v) + "\n";
-    }
-  };
-  line("messages_sent", s.messages_sent);
-  line("messages_delivered", s.messages_delivered);
-  line("discarded_no_guardian", s.discarded_no_guardian);
-  line("discarded_no_port", s.discarded_no_port);
-  line("discarded_port_full", s.discarded_port_full);
-  line("discarded_port_retired", s.discarded_port_retired);
-  line("discarded_type_mismatch", s.discarded_type_mismatch);
-  line("discarded_decode_error", s.discarded_decode_error);
-  line("discarded_corrupt", s.discarded_corrupt);
-  line("failures_synthesized", s.failures_synthesized);
-  line("acks_sent", s.acks_sent);
-  line("duplicates_suppressed", s.duplicates_suppressed);
-  line("replies_replayed", s.replies_replayed);
-  line("replies_journaled", s.replies_journaled);
-  line("expired_shed", s.expired_shed);
-  line("expired_dequeue", s.expired_dequeue);
   std::vector<Guardian*> gs;
   {
     std::lock_guard<std::mutex> lock(mu_);

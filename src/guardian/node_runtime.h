@@ -46,39 +46,6 @@ namespace guardians {
 
 class System;
 
-// Messages delivered, discarded, synthesized — the observable behaviour of
-// the Section 3.4 semantics, countable for experiments.
-struct NodeStats {
-  uint64_t messages_sent = 0;
-  uint64_t messages_delivered = 0;
-  uint64_t discarded_no_guardian = 0;
-  uint64_t discarded_no_port = 0;
-  uint64_t discarded_port_full = 0;
-  // A retired (or crash-closed) port is a different loss event than a full
-  // one: retrying the same name cannot help until the port is recreated.
-  uint64_t discarded_port_retired = 0;
-  uint64_t discarded_type_mismatch = 0;
-  uint64_t discarded_decode_error = 0;
-  uint64_t discarded_corrupt = 0;
-  uint64_t failures_synthesized = 0;
-  uint64_t acks_sent = 0;
-  // At-most-once layer (DESIGN.md §10): tracked messages recognised as
-  // re-deliveries and thrown away instead of executed; how many of those
-  // were answered from the reply cache; replies journaled for crash
-  // survival. `messages_delivered` counts *executions*, so under dup_prob
-  // or retries it stays below the network's delivered-packet count.
-  uint64_t duplicates_suppressed = 0;
-  uint64_t replies_replayed = 0;
-  uint64_t replies_journaled = 0;
-  // Deadline-aware load shedding (DESIGN.md §16): envelopes whose
-  // propagated budget was already spent on arrival (shed before the dedup
-  // gate, never marked, never executed), and queued entries whose budget
-  // died while waiting in a port (discarded at dequeue, dedup mark rolled
-  // back). Both synthesize the §3.4 failure reply toward ack_to/reply_to.
-  uint64_t expired_shed = 0;
-  uint64_t expired_dequeue = 0;
-};
-
 class NodeRuntime {
  public:
   // Constructed by System::AddNode.
@@ -169,9 +136,9 @@ class NodeRuntime {
   Status Restart();
   bool IsUp() const { return up_.load(); }
 
-  NodeStats stats() const;
-  // Text snapshot of this node: NodeStats plus every live guardian's port
-  // depths and drop reasons. One section of System::Report().
+  // Text snapshot of this node: its up/down state plus every live
+  // guardian's port depths and drop reasons. One section of
+  // System::Report(); the node's message counts live in the registry.
   std::string Report() const;
 
   // --- Transport internals (used by Guardian and the send primitives) ----------
@@ -363,17 +330,20 @@ class NodeRuntime {
   std::mutex dedup_log_mu_;
   uint64_t dedup_appends_since_compact_ = 0;  // guarded by dedup_log_mu_
 
-  mutable std::mutex stats_mu_;
-  NodeStats stats_;
-
   // System-wide delivery/drop counters, resolved once at construction so
-  // the delivery path's updates are single relaxed atomics.
+  // the delivery path's updates are single relaxed atomics. The registry
+  // is the only store of these counts (DESIGN.md §7).
   struct DeliveryCounters {
     Counter* sent = nullptr;
+    // Executions, not packets: one per envelope pushed into a port. Under
+    // dup_prob or retries it stays below the network's delivered count,
+    // because the dedup gate suppresses re-deliveries of tracked messages.
     Counter* delivered = nullptr;
     Counter* receives = nullptr;
     Counter* drop_no_guardian = nullptr;
     Counter* drop_no_port = nullptr;
+    // A retired (or crash-closed) port is a different loss than a full
+    // one: retrying the same name cannot help until the port is recreated.
     Counter* drop_port_retired = nullptr;
     Counter* drop_port_full = nullptr;
     Counter* drop_type_mismatch = nullptr;
@@ -381,6 +351,9 @@ class NodeRuntime {
     Counter* drop_corrupt_fragment = nullptr;
     Counter* failures_synthesized = nullptr;
     Counter* acks_sent = nullptr;
+    // At-most-once layer (DESIGN.md §10): tracked re-deliveries thrown
+    // away instead of executed; those of them answered from the reply
+    // cache; replies that reached the durable dedup journal.
     Counter* dup_suppressed = nullptr;
     Counter* dup_replayed = nullptr;
     Counter* dedup_journaled = nullptr;

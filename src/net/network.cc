@@ -11,24 +11,28 @@ namespace guardians {
 Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
                  size_t shards, size_t batch_max, const ClockSource* clock)
     : clock_(clock != nullptr ? clock : WallClock::Get()), rng_(seed),
-      metrics_(metrics), traces_(traces),
-      batch_max_(std::max<size_t>(batch_max, 1)) {
-  if (metrics_ != nullptr) {
-    delivery_latency_ = metrics_->histogram("net.delivery_latency_us");
-  }
+      owned_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>()
+                                        : nullptr),
+      metrics_(metrics != nullptr ? metrics : owned_metrics_.get()),
+      traces_(traces), batch_max_(std::max<size_t>(batch_max, 1)) {
+  totals_.sent = metrics_->counter("net.sent");
+  totals_.delivered = metrics_->counter("net.delivered");
+  totals_.dropped = metrics_->counter("net.dropped");
+  totals_.corrupted = metrics_->counter("net.corrupted");
+  totals_.duplicated = metrics_->counter("net.dup.injected");
+  totals_.bytes_sent = metrics_->counter("net.bytes_sent");
+  delivery_latency_ = metrics_->histogram("net.delivery_latency_us");
   shards_.reserve(std::max<size_t>(shards, 1));
   for (size_t k = 0; k < std::max<size_t>(shards, 1); ++k) {
     auto shard = std::make_unique<Shard>();
-    if (metrics_ != nullptr) {
-      const std::string prefix = "net.shard." + std::to_string(k) + ".";
-      shard->enqueued = metrics_->counter(prefix + "enqueued");
-      shard->delivered = metrics_->counter(prefix + "delivered");
-      shard->dropped = metrics_->counter(prefix + "dropped");
-      shard->batch_drains = metrics_->counter(prefix + "batch.drains");
-      shard->batch_packets = metrics_->counter(prefix + "batch.packets");
-      shard->batch_size = metrics_->histogram(
-          prefix + "batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
-    }
+    const std::string prefix = "net.shard." + std::to_string(k) + ".";
+    shard->enqueued = metrics_->counter(prefix + "enqueued");
+    shard->delivered = metrics_->counter(prefix + "delivered");
+    shard->dropped = metrics_->counter(prefix + "dropped");
+    shard->batch_drains = metrics_->counter(prefix + "batch.drains");
+    shard->batch_packets = metrics_->counter(prefix + "batch.packets");
+    shard->batch_size = metrics_->histogram(
+        prefix + "batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
     shards_.push_back(std::move(shard));
   }
   for (auto& shard : shards_) {
@@ -51,7 +55,6 @@ void Network::Shutdown() {
     // count them dropped so conservation holds, and free the drain
     // barrier from waiting on them.
     abandoned_holds = held_.size();
-    stats_.packets_dropped += abandoned_holds;
     for (const InFlight& entry : held_) {
       CountDrop(entry.packet, "holdback_shutdown");
     }
@@ -182,12 +185,10 @@ void Network::Send(Packet packet) {
   std::optional<InFlight> duplicate;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.packets_sent;
-    stats_.bytes_sent += packet.WireSize();
-    LinkCounters* link_counters = CountersForLink(packet.src, packet.dst);
-    if (link_counters != nullptr) {
-      link_counters->sent->Inc();
-    }
+    totals_.sent->Inc();
+    totals_.bytes_sent->Inc(packet.WireSize());
+    LinkCounters& link_counters = CountersForLink(packet.src, packet.dst);
+    link_counters.sent->Inc();
 
     const bool src_ok = packet.src >= 1 && packet.src <= node_up_.size() &&
                         node_up_[packet.src - 1];
@@ -198,7 +199,6 @@ void Network::Send(Packet packet) {
         packet.src != packet.dst &&
         oneway_partitions_.count(LinkKey(packet.src, packet.dst)) > 0;
     if (!src_ok || partitioned || cut_oneway) {
-      ++stats_.packets_dropped;
       CountDrop(packet, !src_ok ? "src_down"
                                 : (partitioned ? "partition"
                                                : "partition_oneway"));
@@ -216,7 +216,6 @@ void Network::Send(Packet packet) {
     }
 
     if (rng_.NextBool(link.drop_prob)) {
-      ++stats_.packets_dropped;
       CountDrop(packet, "loss");
       return;
     }
@@ -231,11 +230,8 @@ void Network::Send(Packet packet) {
       const size_t at = rng_.NextBelow(packet.payload.size());
       packet.payload.MutableData()[at] ^=
           static_cast<uint8_t>(1 + rng_.NextBelow(255));
-      ++stats_.packets_corrupted;
-      if (link_counters != nullptr) {
-        link_counters->corrupted->Inc();
-        metrics_->counter("net.corrupted")->Inc();
-      }
+      totals_.corrupted->Inc();
+      link_counters.corrupted->Inc();
       if (traces_ != nullptr) {
         traces_->Record(packet.trace_id, 0, "net.corrupted",
                         "n" + std::to_string(packet.src) + "->n" +
@@ -267,13 +263,8 @@ void Network::Send(Packet packet) {
       // (§1.1: the network may duplicate messages). Both copies resolve
       // independently downstream, so packets_delivered + packets_dropped
       // balances against packets_sent + packets_duplicated.
-      ++stats_.packets_duplicated;
-      if (metrics_ != nullptr) {
-        metrics_->counter("net.dup.injected")->Inc();
-      }
-      if (link_counters != nullptr) {
-        link_counters->duplicated->Inc();
-      }
+      totals_.duplicated->Inc();
+      link_counters.duplicated->Inc();
       if (traces_ != nullptr) {
         traces_->Record(packet.trace_id, 0, "net.duplicated",
                         "n" + std::to_string(packet.src) + "->n" +
@@ -338,9 +329,7 @@ void Network::EnqueueToShard(InFlight&& entry) {
         was_empty ? TimePoint{} : shard.heap.front().deliver_at;
     shard.heap.push_back(std::move(entry));
     std::push_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
-    if (shard.enqueued != nullptr) {
-      shard.enqueued->Inc();
-    }
+    shard.enqueued->Inc();
     // Wake coalescing: the worker only needs a signal when the heap went
     // empty -> non-empty (it may be in its indefinite wait) or when a new
     // entry preempts the front (its wait_until deadline is now too late).
@@ -385,9 +374,7 @@ void Network::ReleaseHeld(uint64_t shuffle_seed) {
       for (size_t i = 0; i < held.size(); ++i) {
         held[i].deliver_at = now + Micros(static_cast<int64_t>(i));
       }
-      if (metrics_ != nullptr) {
-        metrics_->counter("net.reorder.released")->Inc(held.size());
-      }
+      metrics_->counter("net.reorder.released")->Inc(held.size());
     }
   }
   for (InFlight& entry : held) {
@@ -418,13 +405,17 @@ bool Network::DrainForTesting(Micros wall_timeout) {
 
 NetworkStats Network::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  NetworkStats s;
+  s.packets_sent = totals_.sent->value();
+  s.packets_delivered = totals_.delivered->value();
+  s.packets_dropped = totals_.dropped->value();
+  s.packets_corrupted = totals_.corrupted->value();
+  s.packets_duplicated = totals_.duplicated->value();
+  s.bytes_sent = totals_.bytes_sent->value();
+  return s;
 }
 
-Network::LinkCounters* Network::CountersForLink(NodeId src, NodeId dst) {
-  if (metrics_ == nullptr) {
-    return nullptr;
-  }
+Network::LinkCounters& Network::CountersForLink(NodeId src, NodeId dst) {
   const uint64_t key = LinkKey(src, dst);
   auto it = link_counters_.find(key);
   if (it == link_counters_.end()) {
@@ -442,17 +433,13 @@ Network::LinkCounters* Network::CountersForLink(NodeId src, NodeId dst) {
     counters.duplicated = metrics_->counter(prefix + "duplicated");
     it = link_counters_.emplace(key, counters).first;
   }
-  return &it->second;
+  return it->second;
 }
 
 void Network::CountDrop(const Packet& packet, const char* reason) {
-  if (metrics_ != nullptr) {
-    metrics_->counter(std::string("net.drop.") + reason)->Inc();
-    LinkCounters* link_counters = CountersForLink(packet.src, packet.dst);
-    if (link_counters != nullptr) {
-      link_counters->dropped->Inc();
-    }
-  }
+  totals_.dropped->Inc();
+  metrics_->counter(std::string("net.drop.") + reason)->Inc();
+  CountersForLink(packet.src, packet.dst).dropped->Inc();
   if (traces_ != nullptr) {
     traces_->Record(packet.trace_id, 0, std::string("net.drop.") + reason,
                     "n" + std::to_string(packet.src) + "->n" +
@@ -497,11 +484,9 @@ void Network::ShardLoop(Shard& shard) {
     // system failure reply) or hand off to guardian processes, and other
     // shards' sinks run concurrently with this one.
     lock.unlock();
-    if (shard.batch_drains != nullptr) {
-      shard.batch_drains->Inc();
-      shard.batch_packets->Inc(batch.size());
-      shard.batch_size->Observe(batch.size());
-    }
+    shard.batch_drains->Inc();
+    shard.batch_packets->Inc(batch.size());
+    shard.batch_size->Observe(batch.size());
     DeliverBatch(shard, batch);
     FinishMany(batch.size());
     lock.lock();
@@ -547,7 +532,7 @@ void Network::DeliverGroup(Shard& shard, NodeId dst,
     if (ok) {
       sink = sinks_[dst - 1];
       deliverable.reserve(group.size());
-      stats_.packets_delivered += group.size();
+      totals_.delivered->Inc(group.size());
       const TimePoint handoff_now = clock_->Now();
       for (InFlight& entry : group) {
         // Stamp the time this packet spent inside the network, measured
@@ -556,14 +541,9 @@ void Network::DeliverGroup(Shard& shard, NodeId dst,
         // timestamps across (possibly skewed) node clocks.
         entry.packet.age_micros =
             std::max<int64_t>(ToMicros(handoff_now - entry.sent_at), 0);
-        if (delivery_latency_ != nullptr) {
-          delivery_latency_->Observe(
-              static_cast<uint64_t>(entry.packet.age_micros));
-        }
-        LinkCounters* link_counters = CountersForLink(entry.packet.src, dst);
-        if (link_counters != nullptr) {
-          link_counters->delivered->Inc();
-        }
+        delivery_latency_->Observe(
+            static_cast<uint64_t>(entry.packet.age_micros));
+        CountersForLink(entry.packet.src, dst).delivered->Inc();
         if (traces_ != nullptr) {
           traces_->Record(entry.packet.trace_id, 0, "net.delivered",
                           "n" + std::to_string(entry.packet.src) + "->n" +
@@ -574,18 +554,15 @@ void Network::DeliverGroup(Shard& shard, NodeId dst,
         deliverable.push_back(std::move(entry.packet));
       }
     } else {
-      stats_.packets_dropped += group.size();
       for (const InFlight& entry : group) {
         CountDrop(entry.packet, "dst_down");
       }
     }
   }
   if (sink) {
-    if (shard.delivered != nullptr) {
-      shard.delivered->Inc(deliverable.size());
-    }
+    shard.delivered->Inc(deliverable.size());
     sink(std::move(deliverable));
-  } else if (shard.dropped != nullptr) {
+  } else {
     shard.dropped->Inc(group.size());
   }
 }

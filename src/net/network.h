@@ -72,19 +72,20 @@ struct LinkParams {
   double dup_prob = 0.0;
 };
 
-// Counters for experiments; all monotonically increasing. Conservation
-// law once the network is drained:
+// A snapshot of the network's registry totals, taken by Network::stats();
+// all monotonically increasing. Conservation law once the network is
+// drained:
 //   packets_delivered + packets_dropped == packets_sent + packets_duplicated
 // Send-time drops (loss, partition, src down) count one per *send*; a
 // duplicated packet adds one extra in-flight copy, and each copy resolves
 // independently as delivered or dropped (dst down) at delivery time.
 struct NetworkStats {
-  uint64_t packets_sent = 0;        // Send() calls accepted (copies excluded)
-  uint64_t packets_delivered = 0;   // copies handed to a sink
-  uint64_t packets_dropped = 0;     // loss + partitions + down nodes, per copy
-  uint64_t packets_corrupted = 0;   // delivered with flipped bits
-  uint64_t packets_duplicated = 0;  // extra copies injected by dup_prob
-  uint64_t bytes_sent = 0;
+  uint64_t packets_sent = 0;        // net.sent: Send() calls (no copies)
+  uint64_t packets_delivered = 0;   // net.delivered: copies handed to a sink
+  uint64_t packets_dropped = 0;     // net.dropped: every net.drop.* reason
+  uint64_t packets_corrupted = 0;   // net.corrupted: sends with bits flipped
+  uint64_t packets_duplicated = 0;  // net.dup.injected: extra dup_prob copies
+  uint64_t bytes_sent = 0;          // net.bytes_sent
 };
 
 // Receives reassembly-ready packets at a node. Called on a delivery worker
@@ -104,12 +105,14 @@ class Network {
   // packet per lock round-trip (the pre-batching engine, bit for bit).
   static constexpr size_t kDefaultBatchMax = 64;
 
-  // `metrics`/`traces` are optional observability sinks (owned by the
-  // caller, usually the System): per-link packet counters, drop-reason
-  // counters, per-shard delivery counters, a delivery-latency histogram,
-  // and per-hop trace events. `shards` is the number of delivery worker
-  // threads (clamped to >= 1); destination nodes are statically assigned
-  // to shards round-robin. `batch_max` bounds one drain (clamped to >= 1).
+  // `metrics` is where the network keeps every count (owned by the caller,
+  // usually the System): the net.* totals behind stats(), per-link packet
+  // counters, drop-reason counters, per-shard delivery counters and a
+  // delivery-latency histogram. Null means the network owns a private
+  // registry. `traces` is an optional sink for per-hop trace events (null
+  // records nothing). `shards` is the number of delivery worker threads
+  // (clamped to >= 1); destination nodes are statically assigned to
+  // shards round-robin. `batch_max` bounds one drain (clamped to >= 1).
   // `clock` is the time source for delivery scheduling (sent_at /
   // deliver_at, the shard workers' timed waits). Null means the wall
   // clock; a SimulatedClock runs the whole delivery engine on virtual
@@ -205,6 +208,8 @@ class Network {
   // delivery already in flight); ~Network calls it too.
   void Shutdown();
 
+  // Reads the net.* totals under the lock that guards every increment of
+  // them, so the snapshot satisfies the conservation law once drained.
   NetworkStats stats() const;
 
  private:
@@ -236,7 +241,7 @@ class Network {
     std::condition_variable cv;
     std::vector<InFlight> heap;  // guarded by mu; DueLater min-heap
     std::thread worker;
-    Counter* enqueued = nullptr;   // may be null (no registry)
+    Counter* enqueued = nullptr;
     Counter* delivered = nullptr;
     Counter* dropped = nullptr;
     Counter* batch_drains = nullptr;
@@ -247,6 +252,17 @@ class Network {
   static uint64_t LinkKey(NodeId a, NodeId b) {
     return (static_cast<uint64_t>(a) << 32) | b;
   }
+
+  // The totals behind stats(), resolved once at construction. Each is
+  // incremented only under mu_.
+  struct TotalCounters {
+    Counter* sent = nullptr;
+    Counter* delivered = nullptr;
+    Counter* dropped = nullptr;
+    Counter* corrupted = nullptr;
+    Counter* duplicated = nullptr;
+    Counter* bytes_sent = nullptr;
+  };
 
   // Per-link counters resolved once per link; further updates lock-free.
   struct LinkCounters {
@@ -270,7 +286,9 @@ class Network {
   // wakes DrainForTesting when the last one resolves.
   void FinishMany(uint64_t n);
   // Requires mu_ held (names the link by node names).
-  LinkCounters* CountersForLink(NodeId src, NodeId dst);
+  LinkCounters& CountersForLink(NodeId src, NodeId dst);
+  // Requires mu_ held: counts one dropped copy in net.dropped, its reason
+  // and its link.
   void CountDrop(const Packet& packet, const char* reason);
 
   // Enqueue one decided entry onto its destination shard (wake-coalesced);
@@ -284,7 +302,6 @@ class Network {
   uint64_t seq_ = 0;
   Rng rng_;
   LinkParams default_link_;
-  NetworkStats stats_;
   std::vector<std::string> node_names_;     // index = id - 1
   std::vector<bool> node_up_;               // index = id - 1
   std::vector<PacketBatchSink> sinks_;      // index = id - 1
@@ -295,8 +312,10 @@ class Network {
   std::vector<InFlight> held_;               // captured, unscheduled packets
   size_t held_max_ = 0;
   uint64_t link_epoch_ = 0;
-  MetricsRegistry* metrics_;  // may be null (standalone networks in tests)
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // set iff none was given
+  MetricsRegistry* metrics_;  // the caller's registry, or owned_metrics_
   TraceBuffer* traces_;       // may be null
+  TotalCounters totals_;
   Histogram* delivery_latency_ = nullptr;
   std::unordered_map<uint64_t, LinkCounters> link_counters_;
 

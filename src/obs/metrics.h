@@ -9,7 +9,13 @@
 // / `Histogram*` whose updates are single relaxed atomic operations — safe
 // to call from the network delivery thread and every guardian process.
 //
+// The registry is the only store of message-path counts: nodes and the
+// network keep no private copies (Network::stats() reads its totals here).
+//
 // Naming convention (dots separate subsystems, see DESIGN.md §7):
+//   net.<total>                     sent / delivered / dropped / corrupted /
+//                                   bytes_sent / dup.injected: the network's
+//                                   totals behind Network::stats()
 //   net.link.<a>-><b>.sent          per-link packet counters
 //   net.shard.<k>.<event>           enqueued / delivered / dropped per
 //                                   delivery worker (shard) of the network

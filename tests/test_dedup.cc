@@ -176,7 +176,7 @@ TEST_F(DedupSystemTest, ReliableSendDeliversOneCopyUnderFullDuplication) {
   system_.network().DrainForTesting();
   std::this_thread::sleep_for(Millis(50));
   EXPECT_EQ(received.load(), 1);
-  EXPECT_GE(region_->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(system_.metrics().CounterValue("deliver.dup.suppressed"), 1u);
 }
 
 TEST_F(DedupSystemTest, NonIdempotentRetryExecutesExactlyOnce) {
@@ -210,7 +210,7 @@ TEST_F(DedupSystemTest, NonIdempotentRetryExecutesExactlyOnce) {
   EXPECT_GE(reply->attempts, 2);  // the slow first attempt really timed out
   system_.network().DrainForTesting();
   EXPECT_EQ(executions.load(), 1);
-  EXPECT_GE(region_->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(system_.metrics().CounterValue("deliver.dup.suppressed"), 1u);
 }
 
 TEST_F(DedupSystemTest, CachedReplyAnswersDuplicateAndSurvivesCrash) {
@@ -321,6 +321,28 @@ TEST_F(DedupSystemTest, CompactionKeepsTheReplyThatTriggeredIt) {
   EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"), 1u);
 }
 
+TEST_F(DedupSystemTest, FailedJournalAppendIsNotCountedAsJournaled) {
+  // Regression: node.dedup.journaled was bumped after every append attempt,
+  // so with a failed stable store a reply that never reached the journal
+  // still read as journaled.
+  region_->stable_store().SetFailed(true);
+  Port* counter = server_->AddPort(CounterPortType(), 16);
+  server_->Fork("counter", [this, counter] {
+    for (;;) {
+      auto request = server_->Receive(counter, Micros::max());
+      if (!request.ok()) {
+        return;
+      }
+      (void)server_->Send(request->reply_to, "val", {Value::Int(7)});
+    }
+  });
+  auto reply = RemoteCall(*client_, counter->name(), "inc", {},
+                          CounterReplyType());
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->command, "val");  // the reply still goes out
+  EXPECT_EQ(system_.metrics().CounterValue("node.dedup.journaled"), 0u);
+}
+
 TEST_F(DedupSystemTest, CreationRetriesConvergeOnOneGuardian) {
   // Remote creation is not idempotent; under full duplication every
   // creation request reaches the primordial twice, and the client issues
@@ -384,7 +406,7 @@ TEST_F(DedupSystemTest, PartitionHealRetryStormDoesNotDoubleBook) {
   EXPECT_TRUE(db.CheckInvariants());
   EXPECT_TRUE(db.IsReserved("p0", "d0"));
   EXPECT_EQ(db.Passengers("d0").size(), 1u) << "seat double-booked";
-  EXPECT_GE(region_->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(system_.metrics().CounterValue("deliver.dup.suppressed"), 1u);
 }
 
 TEST_F(DedupSystemTest, ReliableSendHonoursOverallDeadline) {

@@ -58,9 +58,10 @@ TEST_F(CommTest, MessagesQueueUpToCapacityThenDiscard) {
   system_.network().DrainForTesting();
   EXPECT_EQ(port->depth(), 3u);
   EXPECT_EQ(port->enqueued(), 3u);
-  EXPECT_EQ(b_->stats().discarded_port_full, 3u);
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.drop.port_full"), 3u);
   // Without a reply port, the discards are silent: no failures synthesized.
-  EXPECT_EQ(b_->stats().failures_synthesized, 0u);
+  EXPECT_EQ(
+      system_.metrics().CounterValue("deliver.failures_synthesized"), 0u);
 
   // Draining the port makes room again.
   for (int i = 0; i < 3; ++i) {
@@ -123,7 +124,7 @@ TEST_F(CommTest, SyncSendCompletesOnlyWhenTargetProcessReceives) {
   ASSERT_TRUE(receiver_->Receive(port, Millis(1000)).ok());
   syncer.join();
   EXPECT_TRUE(sync_done.load());
-  EXPECT_EQ(b_->stats().acks_sent, 1u);
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.acks_sent"), 1u);
 }
 
 TEST_F(CommTest, SyncSendTimesOutIfNobodyReceives) {
@@ -185,9 +186,10 @@ TEST_F(CommTest, StaleNameAfterPortChangeYieldsTypeMismatchFailure) {
   // retrying this name is pointless until the port is recreated.
   ASSERT_TRUE(sender_->Send(stale, "put", {Value::Int(1)}).ok());
   system_.network().DrainForTesting();
-  EXPECT_EQ(b_->stats().discarded_port_retired, 1u);
-  EXPECT_EQ(b_->stats().discarded_no_port, 0u);
-  EXPECT_EQ(b_->stats().discarded_port_full, 0u);
+  const MetricsRegistry& metrics = system_.metrics();
+  EXPECT_EQ(metrics.CounterValue("deliver.drop.port_retired"), 1u);
+  EXPECT_EQ(metrics.CounterValue("deliver.drop.no_port"), 0u);
+  EXPECT_EQ(metrics.CounterValue("deliver.drop.port_full"), 0u);
   EXPECT_EQ(old_port->discarded_retired(), 1u);
   (void)reply_port;
 }
@@ -239,7 +241,8 @@ TEST_F(CommTest, CorruptedFragmentLosesTheWholeMessageSilently) {
           .ok());
   auto out = receiver_->Receive(port, Millis(300));
   EXPECT_EQ(out.status().code(), Code::kTimeout);
-  EXPECT_GT(b_->stats().discarded_corrupt, 0u);
+  EXPECT_GT(system_.metrics().CounterValue("deliver.drop.corrupt_fragment"),
+            0u);
 }
 
 TEST_F(CommTest, NoOrderingGuaranteeAcknowledgedInApi) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/net/network.h"
@@ -396,6 +397,74 @@ TEST(NetworkTest, DuplicateCountsBitIdenticalAcrossShardCounts) {
               runs[i].packets_sent + runs[i].packets_duplicated);
   }
   EXPECT_GT(runs[0].packets_duplicated, 0u);
+}
+
+TEST(NetworkTest, TotalsEqualTheirBreakdowns) {
+  // The registry is the network's only ledger: stats() reads its net.*
+  // totals, and each finer counter family (drop reasons, links, shards)
+  // must sum to the matching total. A network that owns its registry must
+  // count exactly like one given a caller's.
+  auto run = [](MetricsRegistry* metrics) {
+    Network network(4242, metrics, nullptr, /*shards=*/2);
+    const NodeId a = network.AddNode("a");
+    const NodeId b = network.AddNode("b");
+    const NodeId c = network.AddNode("c");
+    network.SetSink(b, [](Packet&&) {});
+    network.SetSink(c, [](Packet&&) {});
+    network.SetDefaultLink(
+        LinkParams{Micros(10), Micros(5), 0.2, 0.1, 0, 0.25});
+    auto burst = [&](uint64_t first) {
+      for (uint64_t i = first; i < first + 100; ++i) {
+        network.Send(MakePacket(a, i % 2 == 0 ? b : c, i));
+      }
+      network.DrainForTesting();
+    };
+    burst(0);
+    network.SetPartitioned(a, b, true);
+    burst(100);
+    network.SetNodeUp(c, false);  // copies to c now die at delivery
+    burst(200);
+    return network.stats();
+  };
+  MetricsRegistry metrics;
+  const NetworkStats given = run(&metrics);
+  const NetworkStats owned = run(nullptr);
+  EXPECT_EQ(given.packets_sent, owned.packets_sent);
+  EXPECT_EQ(given.packets_delivered, owned.packets_delivered);
+  EXPECT_EQ(given.packets_dropped, owned.packets_dropped);
+  EXPECT_EQ(given.packets_corrupted, owned.packets_corrupted);
+  EXPECT_EQ(given.packets_duplicated, owned.packets_duplicated);
+  EXPECT_EQ(given.bytes_sent, owned.bytes_sent);
+  EXPECT_EQ(given.packets_sent, 300u);
+  EXPECT_GT(given.packets_corrupted, 0u);
+  EXPECT_GT(given.packets_duplicated, 0u);
+  EXPECT_GT(metrics.CounterValue("net.drop.loss"), 0u);
+  EXPECT_GT(metrics.CounterValue("net.drop.partition"), 0u);
+  EXPECT_GT(metrics.CounterValue("net.drop.dst_down"), 0u);
+
+  auto sum = [&metrics](const std::string& prefix,
+                        const std::string& suffix) {
+    uint64_t total = 0;
+    for (const auto& [name, value] : metrics.CountersWithPrefix(prefix)) {
+      if (name.size() >= suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+        total += value;
+      }
+    }
+    return total;
+  };
+  EXPECT_EQ(sum("net.drop.", ""), given.packets_dropped);
+  EXPECT_EQ(sum("net.link.", ".sent"), given.packets_sent);
+  EXPECT_EQ(sum("net.link.", ".delivered"), given.packets_delivered);
+  EXPECT_EQ(sum("net.link.", ".dropped"), given.packets_dropped);
+  EXPECT_EQ(sum("net.link.", ".corrupted"), given.packets_corrupted);
+  EXPECT_EQ(sum("net.link.", ".duplicated"), given.packets_duplicated);
+  EXPECT_EQ(sum("net.shard.", ".delivered"), given.packets_delivered);
+  EXPECT_EQ(sum("net.shard.", ".dropped"),
+            metrics.CounterValue("net.drop.dst_down"));
+  EXPECT_EQ(given.packets_delivered + given.packets_dropped,
+            given.packets_sent + given.packets_duplicated);
 }
 
 }  // namespace

@@ -214,11 +214,9 @@ TEST_F(ObsSystemTest, RetiredPortDropIsAttributedAsRetiredNotFull) {
                   .ok());
   system_.network().DrainForTesting();
 
-  EXPECT_EQ(b_->stats().discarded_port_retired, 1u);
-  EXPECT_EQ(b_->stats().discarded_port_full, 0u);
-  EXPECT_EQ(b_->stats().discarded_no_port, 0u);
   EXPECT_EQ(system_.metrics().CounterValue("deliver.drop.port_retired"), 1u);
   EXPECT_EQ(system_.metrics().CounterValue("deliver.drop.port_full"), 0u);
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.drop.no_port"), 0u);
 
   // The system failure reply names the real reason.
   auto failure = sender_->Receive(reply_port, Millis(2000));
@@ -245,10 +243,9 @@ TEST_F(ObsSystemTest, FullPortDropIsAttributedAsFull) {
         sender_->Send(target->name(), "put", {Value::Str("x")}).ok());
   }
   system_.network().DrainForTesting();
-  EXPECT_EQ(b_->stats().discarded_port_full, 3u);
-  EXPECT_EQ(b_->stats().discarded_port_retired, 0u);
   EXPECT_EQ(target->discarded_full(), 3u);
   EXPECT_EQ(system_.metrics().CounterValue("deliver.drop.port_full"), 3u);
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.drop.port_retired"), 0u);
   EXPECT_EQ(system_.metrics().CounterValue("deliver.delivered"), 2u);
 }
 
@@ -388,7 +385,7 @@ TEST_F(ObsSystemTest, SystemReportMentionsDropReasonsAndPorts) {
   }
   system_.network().DrainForTesting();
   const std::string report = system_.Report();
-  EXPECT_NE(report.find("discarded_port_full"), std::string::npos);
+  EXPECT_NE(report.find("dropped_full"), std::string::npos);
   EXPECT_NE(report.find("deliver.drop.port_full"), std::string::npos);
   EXPECT_NE(report.find("obs_echo"), std::string::npos);
   EXPECT_NE(report.find("traces:"), std::string::npos);
