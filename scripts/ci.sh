@@ -36,7 +36,8 @@
 # $CARGO_TARGET_DIR/perfbench (default .bench_build/) with Ninja.
 #
 # A grep lint runs before everything: src/ and tests/ must read time only
-# through the §15 ClockSource seam, never raw std::chrono clocks.
+# through the §15 ClockSource seam, never raw std::chrono clocks. The
+# tier-1 build must print no compiler warning.
 #
 # The chaos stage runs the deterministic chaos harness (bench_chaos: three
 # pinned seeds of composed faults — partitions, one-way cuts, campus cuts,
@@ -105,7 +106,16 @@ echo "lint ok: src/ and tests/ read time only through ClockSource"
 
 echo "==> tier-1: configure + build (preset: default)"
 cmake --preset default
-cmake --build --preset default -j "$JOBS"
+# The tier-1 build is warning-free (-Wall -Wextra -Wshadow
+# -Wnon-virtual-dtor) and stays that way: any `warning:` it prints fails
+# the gate. Only recompiled files print, so a fresh build checks them all.
+cmake --build --preset default -j "$JOBS" 2>&1 | tee build/tier1_build.log
+if grep -q "warning:" build/tier1_build.log; then
+  echo "tier-1 build FAIL: compiler warnings:" >&2
+  grep "warning:" build/tier1_build.log | sort -u >&2
+  exit 1
+fi
+echo "tier-1 build ok: no compiler warnings"
 
 echo "==> tier-1: ctest (full suite)"
 ctest --preset default -j "$JOBS"

@@ -81,9 +81,9 @@ struct ChaosEvent {
   int epoch = 0;   // applied (in schedule order) before this epoch's ops
   NodeId a = 0;    // primary node: crash/store target, or link endpoint
   NodeId b = 0;    // second link endpoint (partition/storm events)
-  LinkParams storm;         // kLinkStorm only
-  std::string crash_point;  // kCrash, supervised mode: armed site; empty =
-                            // direct power failure between operations
+  LinkParams storm{};         // kLinkStorm only
+  std::string crash_point{};  // kCrash, supervised mode: armed site; empty
+                              // = direct power failure between operations
   uint64_t nth_hit = 1;     // which hit of crash_point fires
   int64_t skew_us = 0;      // kClockSkew: step size (negative = backward)
   double drift = 1.0;       // kClockDrift: rate vs base time

@@ -68,7 +68,7 @@ class Dispatch {
       }
     }
     for (const auto& [command, handler] : handlers_) {
-      if (!type.Find(command).ok()) {
+      if (type.Find(command) == nullptr) {
         return Status(Code::kTypeError,
                       "when-clause for '" + command +
                           "' which port type '" + type.name() +

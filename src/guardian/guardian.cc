@@ -24,19 +24,24 @@ NodeId Guardian::node() const { return runtime_->id(); }
 
 Port* Guardian::AddPort(const PortType& type, size_t capacity,
                         bool provided) {
+  // "Compile" the header into the system-wide library so any sender can
+  // check against it; the port refers to the library's entry. After a
+  // (corrupt) hash collision that entry is the first registrant, which is
+  // what every sender to this hash is checked against anyway.
+  PortTypeRegistry& library = runtime_->system().port_types();
+  auto registered = library.Register(type);
+  if (!registered.ok()) {
+    GLOG_ERROR << "port type registration failed: " << registered.status();
+  }
+  const PortType* entry =
+      registered.ok() ? *registered : library.Lookup(type.hash());
   std::lock_guard<std::mutex> lock(ports_mu_);
   PortName pn;
   pn.node = runtime_->id();
   pn.guardian = id_;
   pn.port_index = static_cast<uint32_t>(ports_.size());
   pn.type_hash = type.hash();
-  // "Compile" the header into the system-wide library so any sender can
-  // check against it.
-  Status registered = runtime_->system().port_types().Register(type);
-  if (!registered.ok()) {
-    GLOG_ERROR << "port type registration failed: " << registered;
-  }
-  ports_.push_back(std::make_unique<Port>(pn, type, &mailbox_, capacity));
+  ports_.push_back(std::make_unique<Port>(pn, entry, &mailbox_, capacity));
   if (provided) {
     provided_.push_back(pn.port_index);
   }
@@ -120,8 +125,8 @@ Result<uint64_t> Guardian::SendFull(const PortName& to,
   return msg_id;
 }
 
-Result<Received> Guardian::Receive(const std::vector<Port*>& ports,
-                                   Micros timeout) {
+Result<Received> Guardian::ReceiveAny(std::span<Port* const> ports,
+                                      Micros timeout) {
   assert(!ports.empty());
   for (Port* p : ports) {
     assert(p->mailbox() == &mailbox_ &&

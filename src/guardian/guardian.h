@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,9 +110,11 @@ class Guardian {
   // receive on <port list> ... with timeout. Ports are scanned in list
   // order — that is the priority rule. All ports must belong to this
   // guardian. Micros::max() waits forever (until node shutdown).
-  Result<Received> Receive(const std::vector<Port*>& ports, Micros timeout);
+  Result<Received> Receive(const std::vector<Port*>& ports, Micros timeout) {
+    return ReceiveAny(ports, timeout);
+  }
   Result<Received> Receive(Port* port, Micros timeout) {
-    return Receive(std::vector<Port*>{port}, timeout);
+    return ReceiveAny(std::span<Port* const>(&port, 1), timeout);
   }
 
   // --- Tokens (Section 2.1) ---------------------------------------------------
@@ -164,6 +167,10 @@ class Guardian {
   Guardian() = default;
 
  private:
+  // Both Receive forms. Private so a braced port list `Receive({a, b}, t)`
+  // can only mean the vector overload, never span's (first, last) pair.
+  Result<Received> ReceiveAny(std::span<Port* const> ports, Micros timeout);
+
   NodeRuntime* runtime_ = nullptr;
   GuardianId id_ = 0;
   std::string name_;

@@ -182,6 +182,11 @@ NodeRuntime::NodeRuntime(System* system, NodeId id, std::string name,
       metrics.counter("net.reassembly.session_dropped");
   counters_.expired_shed = metrics.counter("deliver.expired.shed");
   counters_.expired_dequeue = metrics.counter("deliver.expired.queue");
+  call_counters_.calls = metrics.counter("sendprims.call.calls");
+  call_counters_.attempts = metrics.counter("sendprims.call.attempts");
+  call_counters_.timeouts = metrics.counter("sendprims.call.timeouts");
+  call_counters_.deadline_exceeded =
+      metrics.counter("sendprims.call.deadline_exceeded");
 }
 
 NodeRuntime::~NodeRuntime() { Crash(); }
@@ -623,9 +628,11 @@ Status NodeRuntime::Transmit(Envelope env) {
   // analog of the paper's compile-time checking. The implicit failure
   // message is always legal.
   if (env.command != kFailureCommand) {
-    auto port_type = system_->port_types().Lookup(env.target.type_hash);
-    if (!port_type.ok()) {
-      return port_type.status();
+    const PortType* port_type =
+        system_->port_types().Lookup(env.target.type_hash);
+    if (port_type == nullptr) {
+      return Status(Code::kTypeError,
+                    "port type not in the guardian-header library");
     }
     GUARDIANS_RETURN_IF_ERROR(
         port_type->Check(env.command, env.args, env.HasReply()));
@@ -641,9 +648,9 @@ Status NodeRuntime::Transmit(Envelope env) {
   // must survive our crash, or a retry would re-execute the operation.
   MaybeJournalReply(env);
   // Step 3: fragment and hand to the network. The sender continues as soon
-  // as this returns; delivery is not guaranteed.
-  system_->traces().Record(env.trace_id, id_, "send",
-                           env.command + " -> " + env.target.ToString());
+  // as this returns; delivery is not guaranteed. The hop's trace event
+  // carries no detail: trace id, node and point already identify it.
+  system_->traces().Record(env.trace_id, id_, "send");
   // Every fragment carries this incarnation's session id: the receiver's
   // reassembler keys partials on it, so a post-restart reuse of a msg_id
   // can never complete a message begun by the previous incarnation.
@@ -711,17 +718,7 @@ void NodeRuntime::NoteReceived(const Received& message) {
   // message left on this thread, or its budget would leak into unrelated
   // nested sends.
   SetCurrentDeadlineAt(message.deadline_at);
-  system_->traces().Record(message.trace_id, id_, "recv",
-                           message.command +
-                               (message.port != nullptr
-                                    ? " on " + message.port->name().ToString()
-                                    : std::string()));
-}
-
-void NodeRuntime::DeliverPacket(Packet&& packet) {
-  std::vector<Packet> batch;
-  batch.push_back(std::move(packet));
-  DeliverBatch(std::move(batch));
+  system_->traces().Record(message.trace_id, id_, "recv");
 }
 
 void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
@@ -730,14 +727,14 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   }
   // --- Reassembly: one reassembler-lock round-trip for the whole batch.
   // Only payloads move in; each packet's trace id stays readable for drop
-  // attribution. Completed messages come out in packet order. The age and
-  // incarnation sweeps run inside Add; their counters are mirrored into
-  // the metrics registry by delta while the lock is still held.
-  // Completed messages are slices sharing their sender's encode buffer —
-  // reassembly completion was at most one gather, usually none.
-  std::vector<BufferSlice> completed;
-  std::vector<uint64_t> completed_traces;
-  std::vector<int64_t> completed_ages;
+  // attribution. Completed messages come out in packet order, one Inbound
+  // record each, and that record carries the message through decode and
+  // dispatch. The age and incarnation sweeps run inside Add; their
+  // counters are mirrored into the metrics registry by delta while the
+  // lock is still held. Completed messages are slices sharing their
+  // sender's encode buffer — reassembly completion was at most one gather,
+  // usually none.
+  std::vector<Inbound> inbound;
   const TimePoint node_now = clock_->Now();
   {
     std::lock_guard<std::mutex> lock(reassembler_mu_);
@@ -756,9 +753,10 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
       }
       std::optional<BufferSlice> message = added.take();
       if (message.has_value()) {
-        completed.push_back(std::move(*message));
-        completed_traces.push_back(trace_id);
-        completed_ages.push_back(age_micros);
+        Inbound& in = inbound.emplace_back();
+        in.bytes = std::move(*message);
+        in.trace_id = trace_id;
+        in.age_micros = age_micros;
       }
     }
     const uint64_t expired = reassembler_.expired() - expired_before;
@@ -775,22 +773,20 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   // budgeted envelope's remaining deadline is its wire budget minus the
   // network age the hop observed — the §16 per-hop decrement, computed
   // entirely from relative quantities so clock skew cannot inflate or
-  // deflate it.
-  std::vector<Envelope> envelopes;
-  std::vector<int64_t> remaining_micros;
-  envelopes.reserve(completed.size());
-  remaining_micros.reserve(completed.size());
-  for (size_t i = 0; i < completed.size(); ++i) {
-    auto env = DecodeEnvelope(completed[i], system_->limits(),
+  // deflate it. A message that fails to decode is finished here and
+  // leaves the batch.
+  size_t decoded = 0;
+  for (size_t i = 0; i < inbound.size(); ++i) {
+    Inbound& in = inbound[i];
+    auto env = DecodeEnvelope(in.bytes, system_->limits(),
                               transmit_registry_.AsDecodeFn());
     if (!env.ok()) {
       counters_.drop_decode_error->Inc();
-      system_->traces().Record(completed_traces[i], id_,
-                               "port.drop.decode_error",
+      system_->traces().Record(in.trace_id, id_, "port.drop.decode_error",
                                env.status().message());
       // The header may still be readable; if the sender asked for replies,
       // tell it the message was thrown away.
-      auto header = DecodeEnvelopeHeader(completed[i], system_->limits());
+      auto header = DecodeEnvelopeHeader(in.bytes, system_->limits());
       if (header.ok() && header->HasReply()) {
         SendSystemFailure(header->reply_to,
                           "message could not be decoded at target node: " +
@@ -799,21 +795,25 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
       }
       continue;
     }
-    Envelope decoded = env.take();
+    in.env = env.take();
     // Every hop charges at least 1us: a zero observed age is possible (a
     // negative jitter draw clamps the delivery delay to zero, and under
     // virtual time no residual wall microseconds leak in), and a budget
     // that "survives" such a hop unspent would execute at the same
     // virtual instant it expired. The floor makes "a 1us budget cannot
     // survive any hop" hold on every clock.
-    remaining_micros.push_back(
-        decoded.deadline_micros == 0
+    in.remaining_micros =
+        in.env.deadline_micros == 0
             ? kNoDeadlineRemaining
-            : static_cast<int64_t>(decoded.deadline_micros) -
-                  std::max<int64_t>(completed_ages[i], 1));
-    envelopes.push_back(std::move(decoded));
+            : static_cast<int64_t>(in.env.deadline_micros) -
+                  std::max<int64_t>(in.age_micros, 1);
+    if (decoded != i) {
+      inbound[decoded] = std::move(in);
+    }
+    ++decoded;
   }
-  if (envelopes.empty()) {
+  inbound.resize(decoded);
+  if (inbound.empty()) {
     return;
   }
 
@@ -822,11 +822,11 @@ void NodeRuntime::DeliverBatch(std::vector<Packet>&& batch) {
   // happens to each carrying envelope below (even a message bound for a
   // dead port still delivers its credit). All packets for this node go
   // through one shard, so feedback is applied in deterministic order.
-  ApplyFlowFeedback(envelopes);
-  DispatchEnvelopes(std::move(envelopes), std::move(remaining_micros));
+  ApplyFlowFeedback(inbound);
+  DispatchEnvelopes(inbound);
 }
 
-void NodeRuntime::ApplyFlowFeedback(const std::vector<Envelope>& envelopes) {
+void NodeRuntime::ApplyFlowFeedback(const std::vector<Inbound>& batch) {
   // A batch's credit grants for one port collapse into one coalesced
   // window update (DESIGN.md §12). Per-port order is all a window can
   // observe, so the only constraint is that a port's pending credit run
@@ -839,7 +839,8 @@ void NodeRuntime::ApplyFlowFeedback(const std::vector<Envelope>& envelopes) {
     uint32_t credits = 0;
   };
   std::vector<CreditRun> runs;
-  for (const Envelope& env : envelopes) {
+  for (const Inbound& in : batch) {
+    const Envelope& env = in.env;
     if (!env.HasFlowFeedback()) {
       continue;
     }
@@ -874,59 +875,37 @@ void NodeRuntime::ApplyFlowFeedback(const std::vector<Envelope>& envelopes) {
   }
 }
 
-void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
-                                    std::vector<int64_t> remaining_micros) {
-  enum class Action : uint8_t { kPush, kFail, kSuppress, kExpired };
-  struct Plan {
-    Envelope env;
-    Port* port = nullptr;
-    bool control = false;
-    Action action = Action::kPush;
-    DropKind drop_kind = DropKind::kNoGuardian;  // when action == kFail
-    // Deadline budget left after the network hop (kNoDeadlineRemaining =
-    // unbudgeted); stamps Received::deadline_at on push.
-    int64_t remaining_micros = kNoDeadlineRemaining;
-    // Dedup-gate verdict (when action == kSuppress).
-    DedupTable::Verdict verdict = DedupTable::Verdict::kFresh;
-    DedupTable::CachedReply replay;
-    bool original_acked = false;
-  };
-
+void NodeRuntime::DispatchEnvelopes(std::vector<Inbound>& batch) {
   // Resolution pass: look each target up, no side effects yet — failure
   // replies wait for the dedup gate, because a duplicate whose target has
   // since retired or been destroyed must be answered (or silently
   // absorbed) as a duplicate, not failure-messaged, exactly as the
   // per-packet path ordered its checks.
-  std::vector<Plan> plans;
-  plans.reserve(envelopes.size());
-  for (size_t n = 0; n < envelopes.size(); ++n) {
-    Plan plan;
-    plan.env = std::move(envelopes[n]);
-    plan.remaining_micros = remaining_micros[n];
-    const Envelope& e = plan.env;
+  for (Inbound& in : batch) {
+    const Envelope& e = in.env;
     Guardian* guardian = FindGuardian(e.target.guardian);
     Port* port =
         guardian != nullptr ? guardian->FindPort(e.target.port_index) : nullptr;
     if (guardian == nullptr) {
-      plan.action = Action::kFail;
-      plan.drop_kind = DropKind::kNoGuardian;
+      in.action = Action::kFail;
+      in.drop_kind = DropKind::kNoGuardian;
     } else if (port == nullptr) {
-      plan.action = Action::kFail;
-      plan.drop_kind = DropKind::kNoPort;
+      in.action = Action::kFail;
+      in.drop_kind = DropKind::kNoPort;
     } else if (port->type().hash() != e.target.type_hash) {
       // A stale name: the guardian was re-created with different ports.
-      plan.action = Action::kFail;
-      plan.drop_kind = DropKind::kTypeMismatch;
+      in.action = Action::kFail;
+      in.drop_kind = DropKind::kTypeMismatch;
     } else {
-      plan.port = port;
+      in.port = port;
       // Control traffic — acks, failure nacks, creation/probe replies —
       // is the backpressure signal itself; it may use the port's headroom
       // when the data buffer is full (DESIGN.md §11 shedding policy).
-      plan.control = e.command == kFailureCommand || e.command == "ack" ||
-                     e.command == "ping" || e.command == "pong";
+      in.control = e.command == kFailureCommand || e.command == "ack" ||
+                   e.command == "ping" || e.command == "pong";
     }
-    if (plan.remaining_micros != kNoDeadlineRemaining &&
-        plan.remaining_micros <= 0 && !plan.control) {
+    if (in.remaining_micros != kNoDeadlineRemaining &&
+        in.remaining_micros <= 0 && !in.control) {
       // The budget was spent in the network: shed before the dedup gate
       // (the arrival is never marked seen, so an in-deadline retry of the
       // same (session, seq) classifies fresh) and before any dispatch
@@ -934,9 +913,8 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       // budget is gone either way, and the expired nack says so directly.
       // Control traffic is exempt: acks and nacks are the backpressure
       // signal itself and carry no work worth shedding.
-      plan.action = Action::kExpired;
+      in.action = Action::kExpired;
     }
-    plans.push_back(std::move(plan));
   }
 
   // At-most-once gate: ONE dedup-lock round-trip classifies and marks
@@ -975,9 +953,9 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
         dedup_last_sweep_ = sweep_now;
       }
     }
-    for (Plan& plan : plans) {
-      const Envelope& e = plan.env;
-      if (plan.action == Action::kExpired) {
+    for (Inbound& in : batch) {
+      const Envelope& e = in.env;
+      if (in.action == Action::kExpired) {
         // Shed before the gate: an expired arrival is never classified,
         // marked, or touched, so a later in-deadline retry of the same
         // (session, seq) is kFresh and executes exactly once.
@@ -986,14 +964,14 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
       if (!e.Tracked()) {
         continue;
       }
-      plan.verdict = dedup_.Classify(e.session_id, e.dedup_seq, &plan.replay);
+      in.verdict = dedup_.Classify(e.session_id, e.dedup_seq, &in.replay);
       dedup_.Touch(e.session_id, gate_now);
-      if (plan.verdict != DedupTable::Verdict::kFresh) {
-        plan.original_acked = dedup_.Acked(e.session_id, e.dedup_seq);
-        plan.action = Action::kSuppress;
+      if (in.verdict != DedupTable::Verdict::kFresh) {
+        in.original_acked = dedup_.Acked(e.session_id, e.dedup_seq);
+        in.action = Action::kSuppress;
         continue;
       }
-      if (plan.action != Action::kPush) {
+      if (in.action != Action::kPush) {
         continue;
       }
       dedup_.MarkSeen(e.session_id, e.dedup_seq);
@@ -1009,70 +987,69 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Envelope> envelopes,
   }
 
   // Execution pass, in batch order. Runs of consecutive pushes into one
-  // (port, control-class) pair collapse into a single PushBatch — one
-  // mailbox lock and at most one receiver wake per run.
+  // (port, control-class) pair share one PushRun — one mailbox lock and at
+  // most one receiver wake per run. Failed pushes are finished after the
+  // run has released the mailbox.
   const TimePoint dispatch_now = clock_->Now();
   size_t i = 0;
-  while (i < plans.size()) {
-    Plan& plan = plans[i];
-    if (plan.action == Action::kExpired) {
-      FinishExpired(plan.env);
+  while (i < batch.size()) {
+    Inbound& first = batch[i];
+    if (first.action == Action::kExpired) {
+      FinishExpired(first.env);
       ++i;
       continue;
     }
-    if (plan.action == Action::kSuppress) {
-      FinishSuppressed(plan.env, plan.verdict, std::move(plan.replay),
-                       plan.original_acked);
+    if (first.action == Action::kSuppress) {
+      FinishSuppressed(first.env, first.verdict, std::move(first.replay),
+                       first.original_acked);
       ++i;
       continue;
     }
-    if (plan.action == Action::kFail) {
-      FinishUnroutable(plan.env, plan.drop_kind);
+    if (first.action == Action::kFail) {
+      FinishUnroutable(first.env, first.drop_kind);
       ++i;
       continue;
     }
     size_t end = i + 1;
-    while (end < plans.size() && plans[end].action == Action::kPush &&
-           plans[end].port == plan.port && plans[end].control == plan.control) {
+    while (end < batch.size() && batch[end].action == Action::kPush &&
+           batch[end].port == first.port &&
+           batch[end].control == first.control) {
       ++end;
     }
-    std::vector<Received> run;
-    run.reserve(end - i);
-    for (size_t k = i; k < end; ++k) {
-      Envelope& e = plans[k].env;
-      Received message;
-      message.command = std::move(e.command);
-      message.args = std::move(e.args);
-      message.reply_to = e.reply_to;
-      message.ack_to = e.ack_to;
-      message.src_node = e.src_node;
-      message.msg_id = e.msg_id;
-      message.trace_id = e.trace_id;
-      message.session_id = e.session_id;
-      message.dedup_seq = e.dedup_seq;
-      if (plans[k].remaining_micros != kNoDeadlineRemaining) {
-        // Project the surviving budget onto this node's clock so dequeue
-        // can lazily discard entries whose budget dies in the queue.
-        message.deadline_at =
-            dispatch_now + Micros(plans[k].remaining_micros);
+    {
+      Port::PushRun run(*first.port);
+      for (size_t k = i; k < end; ++k) {
+        Inbound& in = batch[k];
+        Envelope& e = in.env;
+        Received message;
+        message.command = std::move(e.command);
+        message.args = std::move(e.args);
+        message.reply_to = e.reply_to;
+        message.ack_to = e.ack_to;
+        message.src_node = e.src_node;
+        message.msg_id = e.msg_id;
+        message.trace_id = e.trace_id;
+        message.session_id = e.session_id;
+        message.dedup_seq = e.dedup_seq;
+        if (in.remaining_micros != kNoDeadlineRemaining) {
+          // Project the surviving budget onto this node's clock so dequeue
+          // can lazily discard entries whose budget dies in the queue.
+          message.deadline_at = dispatch_now + Micros(in.remaining_micros);
+        }
+        in.pushed = run.Push(std::move(message), in.control);
       }
-      run.push_back(std::move(message));
     }
-    const std::vector<Port::PushOutcome> outcomes =
-        plan.port->PushBatch(std::move(run), plan.control);
     for (size_t k = i; k < end; ++k) {
-      const Port::PushOutcome& outcome = outcomes[k - i];
-      const Envelope& e = plans[k].env;
-      if (outcome.result != PushResult::kOk) {
-        FinishPushFailed(e, *plans[k].port, outcome.result);
+      const Inbound& in = batch[k];
+      if (in.pushed.result != PushResult::kOk) {
+        FinishPushFailed(in.env, *in.port, in.pushed.result);
         continue;
       }
-      if (outcome.via_headroom) {
+      if (in.pushed.via_headroom) {
         counters_.control_overflow->Inc();
       }
       counters_.delivered->Inc();
-      system_->traces().Record(e.trace_id, id_, "port.enqueued",
-                               e.target.ToString());
+      system_->traces().Record(in.env.trace_id, id_, "port.enqueued");
     }
     i = end;
   }
@@ -1297,7 +1274,49 @@ void NodeRuntime::SetDedupSweepOnLocalClockForTesting(bool local) {
   g_dedup_sweep_local_clock.store(local, std::memory_order_relaxed);
 }
 
-void NodeRuntime::MaybeJournalReply(const Envelope& env) {
+Status EncodeDedupRecord(uint64_t session, uint64_t seq, uint64_t high_water,
+                         const DedupTable::CachedReply& reply,
+                         WireEncoder& enc) {
+  // The Wal's limits, as AppendValue would apply them.
+  const WireLimits& limits = DefaultLimits();
+  if (reply.command.size() > limits.max_blob_bytes) {
+    return Status(Code::kEncodeError, "string exceeds system blob bound");
+  }
+  // Field names, tags, ids, the port name and the length prefixes take at
+  // most 101 bytes; each arg's encoding is within its ApproxSize plus a
+  // tag and a length.
+  size_t estimate = 104 + reply.command.size();
+  for (const Value& arg : reply.args) {
+    estimate += arg.ApproxSize() + 12;
+  }
+  enc.Reserve(estimate);
+  enc.PutU8(static_cast<uint8_t>(TypeTag::kRecord));
+  enc.PutVarU64(6);
+  const std::pair<const char*, uint64_t> ids[] = {
+      {"s", session}, {"q", seq}, {"hw", high_water}};
+  for (const auto& [name, id] : ids) {
+    enc.PutString(name);
+    enc.PutU8(static_cast<uint8_t>(TypeTag::kInt));
+    GUARDIANS_RETURN_IF_ERROR(limits.CheckInt(static_cast<int64_t>(id)));
+    enc.PutVarI64(static_cast<int64_t>(id));
+  }
+  enc.PutString("to");
+  enc.PutU8(static_cast<uint8_t>(TypeTag::kPortName));
+  EncodePortName(reply.reply_to, enc);
+  enc.PutString("cmd");
+  enc.PutU8(static_cast<uint8_t>(TypeTag::kString));
+  enc.PutString(reply.command);
+  enc.PutString("args");
+  enc.PutU8(static_cast<uint8_t>(TypeTag::kArray));
+  enc.PutVarU64(reply.args.size());
+  for (const Value& arg : reply.args) {
+    // record (depth 0) > "args" array (depth 1) > each arg (depth 2).
+    GUARDIANS_RETURN_IF_ERROR(EncodeValue(arg, limits, enc, /*depth=*/2));
+  }
+  return OkStatus();
+}
+
+void NodeRuntime::MaybeJournalReply(Envelope& env) {
   PendingReply pending;
   uint64_t high_water = 0;
   {
@@ -1311,76 +1330,73 @@ void NodeRuntime::MaybeJournalReply(const Envelope& env) {
     high_water =
         std::max(dedup_.HighWater(pending.session), pending.seq);
   }
+  // The reply is journaled from, and then moved into, its cache entry.
+  DedupTable::CachedReply reply{std::move(env.command), std::move(env.args),
+                                env.target};
+  auto cache_reply = [&] {
+    std::lock_guard<std::mutex> lock(dedup_mu_);
+    dedup_.CacheReply(pending.session, pending.seq, std::move(reply));
+  };
+  if (g_skip_dedup_journal.load(std::memory_order_relaxed)) {
+    cache_reply();
+    return;
+  }
   // One record per replied-to operation: identity, the session's receive
   // high-water mark (recovery's conservative floor), and the reply itself
   // in component form so RecoverValues can rebuild it without the
   // abstract-type registry.
-  Value record = Value::Record(
-      {{"s", Value::Int(static_cast<int64_t>(pending.session))},
-       {"q", Value::Int(static_cast<int64_t>(pending.seq))},
-       {"hw", Value::Int(static_cast<int64_t>(high_water))},
-       {"to", Value::OfPort(env.target)},
-       {"cmd", Value::Str(env.command)},
-       {"args", Value::Array(env.args)}});
-  auto cache_reply = [&] {
+  WireEncoder record;
+  Status st = EncodeDedupRecord(pending.session, pending.seq, high_water,
+                                reply, record);
+  std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
+  Wal dedup_log(&stable_store_, kDedupLogName);
+  crash_dedup_before_journal.Hit();
+  if (st.ok()) {
+    st = dedup_log.Append(record.bytes());
+  }
+  if (!st.ok()) {
+    GLOG_ERROR << "failed to journal reply for dedup seq " << pending.seq
+               << ": " << st;
+  }
+  // The logged-but-not-sent window: the reply is durable but the sender
+  // never hears it; the retry must be answered from the recovered cache.
+  crash_dedup_after_journal.Hit();
+  if (st.ok()) {
+    counters_.dedup_journaled->Inc();
+  }
+  // Cache while still holding the log lock: a compaction (below, or in
+  // another replying thread) snapshots the cache in place of the log, so
+  // every reply already in the log must be in the cache by then.
+  cache_reply();
+  if (++dedup_appends_since_compact_ < kDedupCompactEvery) {
+    return;
+  }
+  // Compact: keep only the live reply cache (the meta-log pattern —
+  // checkpoint, then re-append). The live records are written by the same
+  // writer, straight from the table under one dedup-lock acquisition, and
+  // appended outside it. A crash mid-compaction can lose dedup records;
+  // retries of those old operations then fall back on application
+  // idempotence / name-keyed creation.
+  dedup_appends_since_compact_ = 0;
+  std::vector<Bytes> live;
+  {
     std::lock_guard<std::mutex> lock(dedup_mu_);
-    dedup_.CacheReply(pending.session, pending.seq,
-                      DedupTable::CachedReply{env.command, env.args,
-                                              env.target});
-  };
-  if (g_skip_dedup_journal.load(std::memory_order_relaxed)) {
-    cache_reply();
-  } else {
-    std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
-    Wal dedup_log(&stable_store_, kDedupLogName);
-    crash_dedup_before_journal.Hit();
-    Status st = dedup_log.AppendValue(record);
-    if (!st.ok()) {
-      GLOG_ERROR << "failed to journal reply for dedup seq "
-                 << pending.seq << ": " << st;
-    }
-    // The logged-but-not-sent window: the reply is durable but the sender
-    // never hears it; the retry must be answered from the recovered cache.
-    crash_dedup_after_journal.Hit();
-    if (st.ok()) {
-      counters_.dedup_journaled->Inc();
-    }
-    // Cache while still holding the log lock: a compaction (below, or in
-    // another replying thread) snapshots the cache in place of the log, so
-    // every reply already in the log must be in the cache by then.
-    cache_reply();
-    if (++dedup_appends_since_compact_ >= kDedupCompactEvery) {
-      // Compact: keep only the live reply cache (the meta-log pattern —
-      // checkpoint, then re-append). A crash mid-compaction can lose dedup
-      // records; retries of those old operations then fall back on
-      // application idempotence / name-keyed creation.
-      dedup_appends_since_compact_ = 0;
-      std::vector<std::pair<std::pair<uint64_t, uint64_t>,
-                            DedupTable::CachedReply>>
-          live;
-      {
-        std::lock_guard<std::mutex> lock(dedup_mu_);
-        live = dedup_.Snapshot();
+    live.reserve(dedup_.cached_reply_count());
+    dedup_.ForEachCachedReply([&](uint64_t session, uint64_t seq,
+                                  const DedupTable::CachedReply& cached) {
+      WireEncoder kept;
+      if (EncodeDedupRecord(session, seq, dedup_.HighWater(session), cached,
+                            kept)
+              .ok()) {
+        live.push_back(kept.Take());
       }
-      Status checkpointed = dedup_log.Checkpoint({});
-      (void)checkpointed;
-      for (auto& [key, reply] : live) {
-        uint64_t hw;
-        {
-          std::lock_guard<std::mutex> lock(dedup_mu_);
-          hw = dedup_.HighWater(key.first);
-        }
-        Value kept = Value::Record(
-            {{"s", Value::Int(static_cast<int64_t>(key.first))},
-             {"q", Value::Int(static_cast<int64_t>(key.second))},
-             {"hw", Value::Int(static_cast<int64_t>(hw))},
-             {"to", Value::OfPort(reply.reply_to)},
-             {"cmd", Value::Str(reply.command)},
-             {"args", Value::Array(reply.args)}});
-        Status appended = dedup_log.AppendValue(kept);
-        (void)appended;
-      }
-    }
+    });
+  }
+  Status checkpointed = dedup_log.Checkpoint({});
+  (void)checkpointed;
+  for (const Bytes& kept : live) {
+    Status appended = dedup_log.Append(kept);
+    (void)appended;
   }
 }
 

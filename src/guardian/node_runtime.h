@@ -39,6 +39,7 @@
 #include "src/obs/metrics.h"
 #include "src/store/stable_store.h"
 #include "src/transmit/registry.h"
+#include "src/wire/codec.h"
 #include "src/wire/envelope.h"
 #include "src/wire/packet.h"
 
@@ -178,6 +179,16 @@ class NodeRuntime {
   void SendSystemFailure(const PortName& to, const std::string& reason,
                          uint64_t trace_id = 0);
   void SendAck(const Received& message);
+  // The remote-call primitive's counters (sendprims.call.*), resolved once
+  // at construction like the delivery counters, so a call pays no by-name
+  // registry lookup.
+  struct CallCounters {
+    Counter* calls = nullptr;
+    Counter* attempts = nullptr;
+    Counter* timeouts = nullptr;
+    Counter* deadline_exceeded = nullptr;
+  };
+  const CallCounters& call_counters() const { return call_counters_; }
   // The sender half of credit-based flow control (DESIGN.md §11): the
   // per-(destination port) AIMD windows this node's send primitives pace
   // against. Fed by piggybacked credit on incoming acks and by full-port
@@ -214,22 +225,44 @@ class NodeRuntime {
   // batch, one mailbox acquisition + receiver wake per run of same-port
   // envelopes, and per-port flow credit coalesced into one window update.
   void DeliverBatch(std::vector<Packet>&& batch);
-  // Convenience wrapper: a batch of one (tests and standalone callers).
-  void DeliverPacket(Packet&& packet);
+  // What the dispatch pass does with one decoded envelope.
+  enum class Action : uint8_t { kPush, kFail, kSuppress, kExpired };
+  // Why a resolution failed; names the drop bucket and failure text.
+  enum class DropKind : uint8_t { kNoGuardian, kNoPort, kTypeMismatch };
+  // One message of a delivery batch, carried from reassembly to dispatch:
+  // the reassembled bytes, then the decoded envelope and its surviving
+  // deadline budget, then the plan the dispatch pass fills in.
+  struct Inbound {
+    // Views of the sender's encode buffer; the completing fragment's trace
+    // id and network age.
+    BufferSlice bytes;
+    uint64_t trace_id = 0;
+    int64_t age_micros = 0;
+    Envelope env;
+    // Deadline budget left after the network hop (kNoDeadlineRemaining =
+    // unbudgeted); stamps Received::deadline_at on push.
+    int64_t remaining_micros = 0;
+    Port* port = nullptr;
+    bool control = false;
+    Action action = Action::kPush;
+    DropKind drop_kind = DropKind::kNoGuardian;  // when action == kFail
+    // Dedup-gate verdict (when action == kSuppress).
+    DedupTable::Verdict verdict = DedupTable::Verdict::kFresh;
+    DedupTable::CachedReply replay;
+    bool original_acked = false;
+    Port::PushOutcome pushed;  // when action == kPush, once pushed
+  };
   // Consume the batch's piggybacked flow feedback in arrival order,
   // coalescing each port's credit run into one OnCreditBatch and flushing
   // a port's run before any nack for that port (per-port order is the only
   // order a window can observe).
-  void ApplyFlowFeedback(const std::vector<Envelope>& envelopes);
+  void ApplyFlowFeedback(const std::vector<Inbound>& batch);
   // Route every decoded envelope of one batch: resolve targets, shed
   // already-expired envelopes (before the dedup gate — an expired arrival
   // is never marked seen), run the one-acquisition dedup gate, then
   // execute pushes / failure replies / duplicate suppressions in batch
-  // order. `remaining_micros` parallels `envelopes`: the per-envelope
-  // deadline budget left after subtracting observed network age
-  // (kNoDeadlineRemaining = unbudgeted).
-  void DispatchEnvelopes(std::vector<Envelope> envelopes,
-                         std::vector<int64_t> remaining_micros);
+  // order.
+  void DispatchEnvelopes(std::vector<Inbound>& batch);
   Result<Guardian*> CreateGuardianImpl(const std::string& type_name,
                                        const std::string& guardian_name,
                                        const ValueList& args, bool persistent);
@@ -245,12 +278,12 @@ class NodeRuntime {
   void PersistNextId();
   // If `env` answers a pending tracked request, journal it through the
   // dedup Wal (before it reaches the network — log-then-reply) and cache
-  // it for replay. Runs on the replying guardian's thread.
-  void MaybeJournalReply(const Envelope& env);
+  // it for replay, moving its command and args into the cache (Transmit
+  // has already encoded them for the wire). Runs on the replying
+  // guardian's thread.
+  void MaybeJournalReply(Envelope& env);
   // Rebuild the dedup table from the journal at boot.
   Status RecoverDedup();
-  // Why a resolution failed; names the drop bucket and failure text.
-  enum class DropKind : uint8_t { kNoGuardian, kNoPort, kTypeMismatch };
   // Count/trace an unroutable envelope and send its failure(...) reply.
   void FinishUnroutable(const Envelope& env, DropKind kind);
   // Count/trace a push failure, roll back the dedup mark so a retry can
@@ -377,11 +410,23 @@ class NodeRuntime {
     Counter* expired_dequeue = nullptr;
   };
   DeliveryCounters counters_;
+  CallCounters call_counters_;
 
   // Sender-side flow control state. Shut down with the node (waiters must
   // not outlive a crash), reset on restart (the peers' ports may be gone).
   FlowController flow_;
 };
+
+// The §10 dedup journal's record of one cached reply, written into `enc`:
+// byte-identical to the Wal encoding of Value::Record({{"s", session},
+// {"q", seq}, {"hw", high_water}, {"to", reply_to}, {"cmd", command},
+// {"args", Value::Array(args)}}) — the form RecoverDedup reads back — with
+// the same limits and depth bound (the args sit at depth 2), but without
+// building that Value tree or copying the reply. The one writer of reply
+// journaling and of compaction.
+Status EncodeDedupRecord(uint64_t session, uint64_t seq, uint64_t high_water,
+                         const DedupTable::CachedReply& reply,
+                         WireEncoder& enc);
 
 // Factory helper: MakeFactory<MyGuardian>() for RegisterGuardianType.
 template <typename T>

@@ -30,33 +30,24 @@ Port::PushOutcome Port::PushLocked(Received&& message, bool control) {
 }
 
 PushResult Port::Push(Received&& message, bool control) {
-  PushOutcome out;
-  {
-    std::lock_guard<std::mutex> lock(mailbox_->mu);
-    out = PushLocked(std::move(message), control);
-  }
-  if (out.result == PushResult::kOk) {
-    mailbox_->cv.notify_all();
-  }
-  return out.result;
+  PushRun run(*this);
+  return run.Push(std::move(message), control).result;
 }
 
-std::vector<Port::PushOutcome> Port::PushBatch(
-    std::vector<Received>&& messages, bool control) {
-  std::vector<PushOutcome> outcomes;
-  outcomes.reserve(messages.size());
-  bool any_ok = false;
-  {
-    std::lock_guard<std::mutex> lock(mailbox_->mu);
-    for (Received& message : messages) {
-      outcomes.push_back(PushLocked(std::move(message), control));
-      any_ok = any_ok || outcomes.back().result == PushResult::kOk;
-    }
+Port::PushRun::PushRun(Port& port)
+    : port_(port), lock_(port.mailbox_->mu) {}
+
+Port::PushRun::~PushRun() {
+  lock_.unlock();
+  if (any_ok_) {
+    port_.mailbox_->cv.notify_all();
   }
-  if (any_ok) {
-    mailbox_->cv.notify_all();
-  }
-  return outcomes;
+}
+
+Port::PushOutcome Port::PushRun::Push(Received&& message, bool control) {
+  const PushOutcome out = port_.PushLocked(std::move(message), control);
+  any_ok_ = any_ok_ || out.result == PushResult::kOk;
+  return out;
 }
 
 void Port::Retire() {
@@ -202,19 +193,6 @@ void DedupTable::CacheReply(uint64_t session, uint64_t seq,
 uint64_t DedupTable::HighWater(uint64_t session) const {
   auto it = sessions_.find(session);
   return it != sessions_.end() ? it->second.high_water : 0;
-}
-
-std::vector<std::pair<std::pair<uint64_t, uint64_t>, DedupTable::CachedReply>>
-DedupTable::Snapshot() const {
-  std::vector<std::pair<Key, CachedReply>> out;
-  out.reserve(reply_fifo_.size());
-  for (const Key& key : reply_fifo_) {
-    auto it = replies_.find(key);
-    if (it != replies_.end()) {
-      out.emplace_back(key, it->second);
-    }
-  }
-  return out;
 }
 
 void DedupTable::Touch(uint64_t session, TimePoint now) {

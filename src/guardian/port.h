@@ -86,15 +86,17 @@ class Port {
   // admitted there is bounded by kControlHeadroom per port.
   static constexpr size_t kControlHeadroom = 16;
 
-  Port(PortName name, PortType type, Mailbox* mailbox, size_t capacity)
-      : name_(name), type_(std::move(type)), mailbox_(mailbox),
-        capacity_(capacity) {}
+  // `type` is the port type's entry in the system's PortTypeRegistry (or
+  // any PortType that outlives the port); the port refers to it.
+  Port(PortName name, const PortType* type, Mailbox* mailbox,
+       size_t capacity)
+      : name_(name), type_(type), mailbox_(mailbox), capacity_(capacity) {}
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
   const PortName& name() const { return name_; }
-  const PortType& type() const { return type_; }
+  const PortType& type() const { return *type_; }
   size_t capacity() const { return capacity_; }
 
   // --- Runtime side (delivery workers) -------------------------------------
@@ -111,12 +113,27 @@ class Port {
     PushResult result = PushResult::kOk;
     bool via_headroom = false;  // control admitted above capacity_
   };
-  // Enqueue a run of delivered messages under one mailbox lock and (at
-  // most) one receiver wake — the batched delivery path's amortization.
-  // Each message is admitted by the same policy as Push, in order, so the
-  // outcomes are exactly what per-message pushes would have produced.
-  std::vector<PushOutcome> PushBatch(std::vector<Received>&& messages,
-                                     bool control = false);
+  // A run of pushes into one port under one mailbox lock and (at most) one
+  // receiver wake — the batched delivery path's amortization. The lock is
+  // held from construction; the wake, if any push succeeded, comes after
+  // the lock is released at destruction. Each message is admitted by the
+  // same policy as Push, in order, so the outcomes are exactly what
+  // per-message pushes would have produced. Finish failed pushes only
+  // after the run ends: reading the port's depth takes the mailbox lock.
+  class PushRun {
+   public:
+    explicit PushRun(Port& port);
+    ~PushRun();
+    PushRun(const PushRun&) = delete;
+    PushRun& operator=(const PushRun&) = delete;
+
+    PushOutcome Push(Received&& message, bool control);
+
+   private:
+    Port& port_;
+    std::unique_lock<std::mutex> lock_;
+    bool any_ok_ = false;
+  };
 
   // Mark dead: no further pushes succeed, pending messages are dropped.
   // Used when an ephemeral reply port is retired.
@@ -138,11 +155,11 @@ class Port {
   Mailbox* mailbox() const { return mailbox_; }
 
  private:
-  // Admission logic shared by Push/PushBatch; requires mailbox_->mu held.
+  // Admission logic of every push; requires mailbox_->mu held.
   PushOutcome PushLocked(Received&& message, bool control);
 
   const PortName name_;
-  const PortType type_;
+  const PortType* const type_;
   Mailbox* mailbox_;
   const size_t capacity_;
   std::deque<Received> queue_;   // guarded by mailbox_->mu
@@ -236,9 +253,17 @@ class DedupTable {
   // replied-to before the crash can execute again after it.
   void RestoreFloor(uint64_t session, uint64_t floor);
 
-  // Every cached reply, oldest first — the compaction snapshot.
-  std::vector<std::pair<std::pair<uint64_t, uint64_t>, CachedReply>>
-  Snapshot() const;
+  // Visit every cached reply, oldest first, as fn(session, seq, reply) —
+  // the compaction snapshot, read in place.
+  template <typename Fn>
+  void ForEachCachedReply(Fn&& fn) const {
+    for (const Key& key : reply_fifo_) {
+      auto it = replies_.find(key);
+      if (it != replies_.end()) {
+        fn(key.first, key.second, it->second);
+      }
+    }
+  }
 
   // Stamp activity for `session` at `now` (the node's clock). NodeRuntime
   // calls this from the batch dedup gate for every tracked envelope, so a

@@ -2,28 +2,25 @@
 
 namespace guardians {
 
-Status PortTypeRegistry::Register(const PortType& type) {
+Result<const PortType*> PortTypeRegistry::Register(const PortType& type) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = types_.find(type.hash());
-  if (it != types_.end()) {
-    if (it->second.Canonical() != type.Canonical()) {
-      return Status(Code::kInternal, "port type hash collision for '" +
-                                         type.name() + "'");
-    }
-    return OkStatus();
+  if (it == types_.end()) {
+    return &types_.emplace(type.hash(), type).first->second;
   }
-  types_.emplace(type.hash(), type);
-  return OkStatus();
+  if (it->second.Canonical() != type.Canonical()) {
+    std::string why = "port type hash collision for '";
+    why += type.name();
+    why += '\'';
+    return Status(Code::kInternal, std::move(why));
+  }
+  return &it->second;
 }
 
-Result<PortType> PortTypeRegistry::Lookup(uint64_t hash) const {
+const PortType* PortTypeRegistry::Lookup(uint64_t hash) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = types_.find(hash);
-  if (it == types_.end()) {
-    return Status(Code::kTypeError,
-                  "port type not in the guardian-header library");
-  }
-  return it->second;
+  return it != types_.end() ? &it->second : nullptr;
 }
 
 bool PortTypeRegistry::Knows(uint64_t hash) const {

@@ -17,13 +17,12 @@ System::System(SystemConfig config)
                config.delivery_shards, config.delivery_batch_max, clock_) {
   network_.SetDefaultLink(config_.default_link);
   // System-defined port types every node may rely on.
-  Status st = port_types_.Register(PrimordialPortType());
-  assert(st.ok());
-  st = port_types_.Register(CreationReplyPortType());
-  assert(st.ok());
-  st = port_types_.Register(AckPortType());
-  assert(st.ok());
-  (void)st;
+  for (const PortType& type :
+       {PrimordialPortType(), CreationReplyPortType(), AckPortType()}) {
+    const bool registered = port_types_.Register(type).ok();
+    assert(registered);
+    (void)registered;
+  }
 }
 
 System::~System() {
@@ -33,7 +32,7 @@ System::~System() {
     node->Crash();
   }
   // Then stop the delivery workers before the member destructors free the
-  // node runtimes: a sink call already in flight runs DeliverPacket on a
+  // node runtimes: a sink call already in flight runs DeliverBatch on a
   // raw NodeRuntime*, and nodes_ (declared after network_) is destroyed
   // first.
   network_.Shutdown();

@@ -143,6 +143,7 @@ class System {
   MetricsRegistry metrics_;
   TraceBuffer traces_;
   Network network_;
+  // Declared before nodes_ so it outlives them: ports refer to its entries.
   PortTypeRegistry port_types_;
   // Guards nodes_ (the supervisor scans from its own thread while tests
   // may still be adding nodes); NodeRuntime pointers themselves are stable.

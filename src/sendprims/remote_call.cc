@@ -11,10 +11,9 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
                                const std::string& command, ValueList args,
                                const PortType& reply_type,
                                const RemoteCallOptions& options) {
-  MetricsRegistry& metrics = caller.runtime().system().metrics();
-  metrics.counter("sendprims.call.calls")->Inc();
-  Counter* attempts_counter = metrics.counter("sendprims.call.attempts");
-  Counter* timeouts_counter = metrics.counter("sendprims.call.timeouts");
+  const NodeRuntime::CallCounters& counters =
+      caller.runtime().call_counters();
+  counters.calls->Inc();
   const ClockSource& clock = caller.runtime().clock();
   // Inherit the caller's propagated deadline (§16): a handler that fans
   // out nested calls must never promise downstream more time than its own
@@ -22,7 +21,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
   // TimePoint::max() when the current message carried no budget.
   const TimePoint inherited_at = CurrentDeadlineAt();
   Port* reply_port = caller.AddPort(reply_type, /*capacity=*/8);
-  Status last(Code::kTimeout, "no attempts made");
+  Status last;  // every attempt that ends without a reply sets it
   RemoteReply reply;
   // One dedup sequence number and one reply port for the whole call:
   // every attempt is the same logical request, so the receiver executes at
@@ -35,7 +34,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
       if (now >= inherited_at) {
         // The inherited budget is gone: another attempt could only
         // produce a reply nobody upstream is still waiting for.
-        metrics.counter("sendprims.call.deadline_exceeded")->Inc();
+        counters.deadline_exceeded->Inc();
         last = Status(Code::kTimeout,
                       "inherited deadline exhausted before attempt " +
                           std::to_string(attempt));
@@ -45,7 +44,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
           effective, std::chrono::duration_cast<Micros>(inherited_at - now));
     }
     reply.attempts = attempt;
-    attempts_counter->Inc();
+    counters.attempts->Inc();
     // Defer-before-send against the destination's congestion window; a
     // window that stays closed for the attempt's whole timeout counts as
     // a timed-out attempt (the receiver is that congested).
@@ -54,7 +53,7 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
                                        : Deadline(effective, &clock));
     if (!slot.ok()) {
       last = Status(Code::kTimeout, "flow window closed for remote call");
-      timeouts_counter->Inc();
+      counters.timeouts->Inc();
       continue;
     }
     // Stamp this attempt's budget onto the wire so the server sheds the
@@ -63,8 +62,11 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
         effective == Micros::max()
             ? 0
             : static_cast<uint64_t>(std::max<int64_t>(effective.count(), 1));
-    auto sent = caller.SendFull(to, command, args, reply_port->name(),
-                                PortName{}, dedup_seq, budget_micros);
+    // The last attempt sends the caller's args themselves; earlier ones
+    // send copies, since a retry needs them again.
+    auto sent = caller.SendFull(
+        to, command, attempt == options.max_attempts ? std::move(args) : args,
+        reply_port->name(), PortName{}, dedup_seq, budget_micros);
     if (!sent.ok()) {
       // Local errors (type error, encode failure, node down) will not be
       // cured by retrying.
@@ -77,30 +79,37 @@ Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
       if (received.status().code() == Code::kNodeDown) {
         break;
       }
-      timeouts_counter->Inc();
+      counters.timeouts->Inc();
       continue;
     }
-    if (received->command == kFailureCommand &&
-        attempt < options.max_attempts) {
-      // e.g. "target port doesn't exist" because the server is recovering,
-      // or "no room at target port" (a flow nack — the window was already
-      // halved when the nack's fc fields were consumed); retrying is as
-      // sound as retrying after a timeout.
-      last = Status(Code::kUnreachable, received->args.empty()
-                                            ? "failure"
-                                            : received->args[0].ToString());
-      continue;
+    if (received->command == kFailureCommand) {
+      if (attempt < options.max_attempts) {
+        // e.g. "target port doesn't exist" because the server is
+        // recovering, or "no room at target port" (a flow nack — the window
+        // was already halved when the nack's fc fields were consumed);
+        // retrying is as sound as retrying after a timeout.
+        last = Status(Code::kUnreachable, received->args.empty()
+                                              ? "failure"
+                                              : received->args[0].ToString());
+        continue;
+      }
+      // The final answer, but the system's, not the application's: the
+      // slot is released without credit (the destructor does that).
+    } else {
+      // A good reply is the call-pattern's credit: request/reply traffic
+      // carries no receipt acks, so without this the window could only
+      // ever shrink.
+      slot.Success();
     }
-    // A good reply is the call-pattern's credit: request/reply traffic
-    // carries no receipt acks, so without this the window could only ever
-    // shrink.
-    slot.Success();
-    reply.command = received->command;
+    reply.command = std::move(received->command);
     reply.args = std::move(received->args);
     caller.RetirePort(reply_port);
     return reply;
   }
   caller.RetirePort(reply_port);
+  if (last.ok()) {
+    return Status(Code::kTimeout, "no attempts made");
+  }
   return last;
 }
 

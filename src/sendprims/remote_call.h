@@ -44,7 +44,8 @@ struct RemoteReply {
 // Send `command` to `to` and wait for any reply on a fresh reply port of
 // `reply_type`. System failure(...) messages count as replies (command
 // "failure") on the final attempt but trigger a retry while attempts
-// remain, like timeouts do.
+// remain, like timeouts do. Only an application reply credits the
+// destination's flow window; a failure never does.
 Result<RemoteReply> RemoteCall(Guardian& caller, const PortName& to,
                                const std::string& command, ValueList args,
                                const PortType& reply_type,

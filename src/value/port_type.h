@@ -13,6 +13,7 @@
 #define GUARDIANS_SRC_VALUE_PORT_TYPE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -67,25 +68,28 @@ class PortType {
   const std::vector<MessageSig>& signatures() const { return sigs_; }
   uint64_t hash() const { return hash_; }
 
-  // Find the signature for a command; understands the implicit failure
-  // message. kNoSuchPort... no: kNotFound when the command isn't declared.
-  Result<MessageSig> Find(const std::string& command) const;
+  // The signature for a command, or null when the type does not declare
+  // it; understands the implicit failure message. Points into this type
+  // (or at FailureSig()), so it lives as long as the type does.
+  const MessageSig* Find(std::string_view command) const;
 
   // Check a concrete (command, args, has_reply_port) against this type.
   // Returns kTypeError with a specific explanation on mismatch.
-  Status Check(const std::string& command, const ValueList& args,
+  Status Check(std::string_view command, const ValueList& args,
                bool has_reply_port) const;
 
   // Does `command` expect replies (i.e. may carry a replyto port)?
-  bool ExpectsReply(const std::string& command) const;
+  bool ExpectsReply(std::string_view command) const;
 
   // The canonical text from which the hash is computed; stable across
-  // processes, suitable for the guardian-header library.
-  std::string Canonical() const;
+  // processes, suitable for the guardian-header library. Rendered once, at
+  // construction.
+  const std::string& Canonical() const { return canonical_; }
 
  private:
   std::string name_;
   std::vector<MessageSig> sigs_;
+  std::string canonical_;
   uint64_t hash_ = 0;
 };
 
@@ -93,7 +97,7 @@ class PortType {
 inline constexpr char kFailureCommand[] = "failure";
 
 // Signature of the implicit failure message: failure(string).
-MessageSig FailureSig();
+const MessageSig& FailureSig();
 
 }  // namespace guardians
 

@@ -37,9 +37,14 @@ std::string_view TypeTagName(TypeTag tag) {
 }
 
 std::string PortName::ToString() const {
-  std::ostringstream os;
-  os << "port(n" << node << "/g" << guardian << "." << port_index << ")";
-  return os.str();
+  std::string out = "port(n";
+  out += std::to_string(node);
+  out += "/g";
+  out += std::to_string(guardian);
+  out += '.';
+  out += std::to_string(port_index);
+  out += ')';
+  return out;
 }
 
 std::string Token::ToString() const {

@@ -28,9 +28,14 @@ std::string Envelope::ToString() const {
 Result<Bytes> EncodeEnvelope(const Envelope& env, const WireLimits& limits) {
   WireEncoder enc;
   // Fixed header fields total ~154 bytes (magic + ids + four 24-byte port
-  // names + flow feedback); reserve them plus the command up front so the
-  // header encodes with zero reallocations.
-  enc.Reserve(170 + env.command.size());
+  // names + flow feedback), and each argument encodes within its
+  // ApproxSize plus a tag and a length prefix: reserve the whole message
+  // once, so it encodes into one allocation.
+  size_t estimate = 170 + env.command.size();
+  for (const auto& arg : env.args) {
+    estimate += arg.ApproxSize() + 12;
+  }
+  enc.Reserve(estimate);
   enc.PutU8(kEnvelopeMagic);
   enc.PutU64(env.msg_id);
   enc.PutU64(env.trace_id);

@@ -178,8 +178,8 @@ Result<Value> DecodeValueDepth(WireDecoder& dec, const WireLimits& limits,
 }  // namespace
 
 Status EncodeValue(const Value& v, const WireLimits& limits,
-                   WireEncoder& enc) {
-  return EncodeValueDepth(v, limits, enc, 0);
+                   WireEncoder& enc, int depth) {
+  return EncodeValueDepth(v, limits, enc, depth);
 }
 
 Result<Value> DecodeValue(WireDecoder& dec, const WireLimits& limits,

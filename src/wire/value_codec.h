@@ -27,9 +27,11 @@ using AbstractDecodeFn =
 
 // Encode one value. Applies WireLimits (integer bounds, blob sizes, depth).
 // Returns kEncodeError / kOutOfRange / kNotTransmittable on failure; on
-// failure nothing is sent (the send "terminates and raises").
+// failure nothing is sent (the send "terminates and raises"). `depth` is
+// the nesting level `v` sits at when a caller writes the enclosing values
+// itself (0 = top level); the depth bound counts from the top.
 Status EncodeValue(const Value& v, const WireLimits& limits,
-                   WireEncoder& enc);
+                   WireEncoder& enc, int depth = 0);
 
 // Decode one value. `decode_abstract` may be null, in which case abstract
 // values fail with kDecodeError (the type is not transmittable *here*).

@@ -1,79 +1,48 @@
-// Allocation budget for the zero-copy wire path.
+// Allocation budgets for the message path.
 //
-// A global operator-new interposer counts heap allocations made while a
-// thread-local gate is open. The tests open the gate around exactly the
-// region under measurement (never around gtest assertions, which allocate
-// for their messages) and assert the wire hot path stays within a fixed
-// allocation budget per message — the regression guard for the refcounted
-// buffer work: a reintroduced payload clone or per-fragment vector copy
-// shows up here as a budget overrun.
+// A global operator-new interposer (alloc_interposer.cc) counts heap
+// allocations made while a counting gate is open. The tests open a gate
+// around exactly the region under measurement (never around gtest
+// assertions, which allocate for their messages) and assert the path stays
+// within a fixed allocation budget per message.
 //
-// Single-threaded on purpose (not tsan-labeled, no Network workers): the
-// gate is thread-local, so only allocations made by this thread count and
-// the numbers are exactly reproducible.
+// The wire tests are single-threaded on purpose and use the thread-local
+// gate, so their numbers are exactly reproducible: a reintroduced payload
+// clone or per-fragment vector copy shows up as a budget overrun. The
+// round-trip test uses the process-wide gate, because a RemoteCall spans
+// the caller, the delivery shards and the echo guardian. None of them is
+// tsan-labeled: tsan's allocator would skew the counts anyway.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <optional>
 
 #include "src/common/buffer.h"
+#include "src/guardian/system.h"
+#include "src/obs/trace.h"
+#include "src/sendprims/remote_call.h"
 #include "src/wire/envelope.h"
 #include "src/wire/packet.h"
+#include "tests/alloc_interposer.h"
 
 namespace guardians {
 namespace {
 
-std::atomic<uint64_t> g_allocations{0};
-thread_local bool t_counting = false;
-
-// Opens the counting gate for one scope and reports the delta.
+// Opens the calling thread's counting gate for one scope and reports the
+// delta.
 class AllocationMeter {
  public:
-  AllocationMeter() : start_(g_allocations.load(std::memory_order_relaxed)) {
-    t_counting = true;
+  AllocationMeter() : start_(alloc_test::Allocations()) {
+    alloc_test::SetThreadCounting(true);
   }
-  ~AllocationMeter() { t_counting = false; }
+  ~AllocationMeter() { alloc_test::SetThreadCounting(false); }
   uint64_t Stop() {
-    t_counting = false;
-    return g_allocations.load(std::memory_order_relaxed) - start_;
+    alloc_test::SetThreadCounting(false);
+    return alloc_test::Allocations() - start_;
   }
 
  private:
   uint64_t start_;
 };
-
-}  // namespace
-}  // namespace guardians
-
-// The interposer itself: count while the gate is open, allocate as usual.
-void* operator new(std::size_t size) {
-  if (guardians::t_counting) {
-    guardians::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (guardians::t_counting) {
-    guardians::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-namespace guardians {
-namespace {
 
 Envelope SmallEnvelope() {
   Envelope env;
@@ -165,6 +134,98 @@ TEST(AllocBudgetTest, FragmentationAddsNoPerFragmentPayloadAllocations) {
   EXPECT_LE(allocations, 14u);
   EXPECT_EQ(BufferStats::BytesCopied() - copied_before, 0u)
       << "fragment + reassemble must not copy payload bytes";
+}
+
+PortType EchoType() {
+  return PortType("alloc_echo",
+                  {MessageSig{"echo",
+                              {ArgType::Of(TypeTag::kInt),
+                               ArgType::Of(TypeTag::kBytes)},
+                              {"echoed"}}});
+}
+
+PortType EchoReplyType() {
+  return PortType("alloc_echo_reply",
+                  {MessageSig{"echoed",
+                              {ArgType::Of(TypeTag::kInt),
+                               ArgType::Of(TypeTag::kBytes)},
+                              {}}});
+}
+
+// Sends every request's arguments straight back.
+class EchoGuardian : public Guardian {
+ public:
+  Status Setup(const ValueList& args) override {
+    (void)args;
+    AddPort(EchoType(), Port::kDefaultCapacity, /*provided=*/true);
+    return OkStatus();
+  }
+
+  void Main() override {
+    Port* requests = port(0);
+    for (;;) {
+      auto received = Receive(requests, Micros::max());
+      if (!received.ok()) {
+        return;
+      }
+      Status sent =
+          Send(received->reply_to, "echoed", std::move(received->args));
+      (void)sent;
+    }
+  }
+};
+
+TEST(AllocBudgetTest, RemoteCallRoundTripIsBounded) {
+  // The whole real path of one call, on every thread it touches: type
+  // check, encode, dedup gate and journal, fragment, network, delivery
+  // batch, port, receive, the echo's reply and its way back. 2,000
+  // sequential calls span about four dedup-journal compactions (one per
+  // kDedupCompactEvery replies), so the budget includes their share.
+  constexpr int kWarmup = 600;
+  constexpr int kCalls = 2000;
+  constexpr double kBudgetPerCall = 60;
+
+  SystemConfig config;
+  config.seed = 7;
+  config.default_link.latency = Micros(0);
+  System system(config);
+  NodeRuntime& client = system.AddNode("client");
+  NodeRuntime& server = system.AddNode("server");
+  client.RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  server.RegisterGuardianType("echo", MakeFactory<EchoGuardian>());
+  auto echo = server.Create<EchoGuardian>("echo", "echo", {});
+  ASSERT_TRUE(echo.ok());
+  const PortName to = (*echo)->ProvidedPorts()[0];
+  auto caller = client.Create<ShellGuardian>("shell", "caller", {});
+  ASSERT_TRUE(caller.ok());
+  const PortType reply_type = EchoReplyType();
+  const Bytes blob(16, 0x5A);
+  RemoteCallOptions options;
+  options.timeout = Millis(5000);
+
+  int failed = 0;
+  uint64_t start = 0;
+  for (int i = 0; i < kWarmup + kCalls; ++i) {
+    if (i == kWarmup) {
+      start = alloc_test::Allocations();
+      alloc_test::SetProcessCounting(true);
+    }
+    SetCurrentTraceId(0);  // each call is its own causal chain
+    auto reply = RemoteCall(**caller, to, "echo",
+                            {Value::Int(i), Value::Blob(blob)}, reply_type,
+                            options);
+    if (!reply.ok() || reply->command != "echoed") {
+      ++failed;
+    }
+  }
+  alloc_test::SetProcessCounting(false);
+  const double per_call =
+      static_cast<double>(alloc_test::Allocations() - start) / kCalls;
+
+  EXPECT_EQ(failed, 0);
+  EXPECT_LE(per_call, kBudgetPerCall)
+      << "a RemoteCall round trip allocated " << per_call
+      << " times per call; the budget is " << kBudgetPerCall;
 }
 
 }  // namespace

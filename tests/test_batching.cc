@@ -8,7 +8,7 @@
 // round-trips those outcomes cost, never which outcomes happen.
 //
 // Runs under the tsan label: the multi-threaded cases exercise concurrent
-// Send() against batched drains, PushBatch fan-in, DrainForTesting's
+// Send() against batched drains, PushRun fan-in, DrainForTesting's
 // barrier with batches mid-flight, and Shutdown with a loaded heap.
 #include <gtest/gtest.h>
 

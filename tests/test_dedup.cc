@@ -2,7 +2,8 @@
 // reply-cache mechanics, duplicate suppression and cached-reply replay
 // end-to-end, retry-safety of non-idempotent operations (including remote
 // creation), the durable dedup journal across a crash, and the behaviour
-// of a retry storm across a partition heal.
+// of a retry storm across a partition heal. The journal's record writer is
+// checked byte for byte against the Value-tree encoding it replaces.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "src/sendprims/reliable_send.h"
 #include "src/sendprims/remote_call.h"
 #include "src/sendprims/sync_send.h"
+#include "src/wire/value_codec.h"
 
 namespace guardians {
 namespace {
@@ -97,6 +99,75 @@ TEST(DedupTableTest, RestoreFloorMakesRecoveredSeqsSeenAndAcked) {
   EXPECT_TRUE(table.Acked(9, 5));
   EXPECT_EQ(table.Classify(9, 6, nullptr), DedupTable::Verdict::kFresh);
   EXPECT_EQ(table.HighWater(9), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// The dedup-journal record writer
+// ---------------------------------------------------------------------------
+
+// What the journal wrote before EncodeDedupRecord: the record as a Value
+// tree, encoded as Wal::AppendValue does.
+Result<Bytes> ReferenceRecord(uint64_t session, uint64_t seq, uint64_t hw,
+                              const DedupTable::CachedReply& reply) {
+  return EncodeValueToBytes(Value::Record(
+      {{"s", Value::Int(static_cast<int64_t>(session))},
+       {"q", Value::Int(static_cast<int64_t>(seq))},
+       {"hw", Value::Int(static_cast<int64_t>(hw))},
+       {"to", Value::OfPort(reply.reply_to)},
+       {"cmd", Value::Str(reply.command)},
+       {"args", Value::Array(reply.args)}}));
+}
+
+Result<Bytes> WrittenRecord(uint64_t session, uint64_t seq, uint64_t hw,
+                            const DedupTable::CachedReply& reply) {
+  WireEncoder enc;
+  GUARDIANS_RETURN_IF_ERROR(EncodeDedupRecord(session, seq, hw, reply, enc));
+  return enc.Take();
+}
+
+// An int wrapped in `levels` one-element arrays.
+Value Nested(int levels) {
+  Value v = Value::Int(7);
+  for (int i = 0; i < levels; ++i) {
+    v = Value::Array({std::move(v)});
+  }
+  return v;
+}
+
+TEST(DedupRecordTest, WriterMatchesTheValueTreeEncodingByteForByte) {
+  // Session ids are random 64-bit values, so the high bit is often set.
+  const uint64_t session = 0xF00DFACEu | (uint64_t{1} << 63);
+  // A record sits at depth 0, its args array at 1 and each arg at 2, so an
+  // arg of max_depth - 2 nested arrays reaches the depth limit exactly.
+  const int deepest = DefaultLimits().max_depth - 2;
+  const std::pair<const char*, ValueList> cases[] = {
+      {"no args", {}},
+      {"16 B blob", {Value::Int(-3), Value::Blob(Bytes(16, 0x5A))}},
+      {"8 KiB blob", {Value::Blob(Bytes(8192, 0xA5))}},
+      {"port name", {Value::OfPort(PortName{4, 77, 2, 0xBEEF})}},
+      {"nested to the depth limit", {Nested(deepest), Value::Str("tail")}},
+  };
+  for (const auto& [name, args] : cases) {
+    DedupTable::CachedReply reply{"echoed", args, PortName{3, 9, 1, 0xFEED}};
+    auto want = ReferenceRecord(session, 41, 1000, reply);
+    auto got = WrittenRecord(session, 41, 1000, reply);
+    ASSERT_TRUE(want.ok()) << name << ": " << want.status();
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status();
+    EXPECT_EQ(*got, *want) << name;
+  }
+}
+
+TEST(DedupRecordTest, WriterRejectsWhatTheReferenceRejects) {
+  // One level past the depth limit: the reference refuses to encode the
+  // record, and so must the writer (the Wal append then never happens).
+  const int too_deep = DefaultLimits().max_depth - 1;
+  DedupTable::CachedReply reply{"echoed", {Nested(too_deep)},
+                                PortName{3, 9, 1, 0xFEED}};
+  auto want = ReferenceRecord(5, 6, 7, reply);
+  auto got = WrittenRecord(5, 6, 7, reply);
+  ASSERT_FALSE(want.ok());
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), want.status().code());
 }
 
 // ---------------------------------------------------------------------------
@@ -260,6 +331,53 @@ TEST_F(DedupSystemTest, CachedReplyAnswersDuplicateAndSurvivesCrash) {
   EXPECT_TRUE(db.CheckInvariants());
   EXPECT_TRUE(db.IsReserved("p0", "d0"));
   EXPECT_EQ(db.Passengers("d0").size(), 1u);
+}
+
+TEST_F(DedupSystemTest, RecoveredReplyReplaysTheWrittenArgsIntact) {
+  // A reply whose args span the codec's shapes is journaled by the record
+  // writer; after a crash RecoverDedup rebuilds it from those bytes, and a
+  // duplicate of the request is answered with exactly those args.
+  const PortType request_type("fetch_req", {MessageSig{"get", {}, {"got"}}});
+  const PortType reply_type(
+      "fetch_reply",
+      {MessageSig{"got", {ArgType::Any(), ArgType::Any(), ArgType::Any()},
+                  {}}});
+  const ValueList reply_args = {Value::Blob(Bytes(8192, 0xA5)),
+                                Value::OfPort(PortName{1, 2, 3, 4}),
+                                Nested(4)};
+  Port* port = server_->AddPort(request_type, 16);
+  server_->Fork("fetch", [this, port, reply_args] {
+    for (;;) {
+      auto request = server_->Receive(port, Micros::max());
+      if (!request.ok()) {
+        return;
+      }
+      (void)server_->Send(request->reply_to, "got", reply_args);
+    }
+  });
+
+  Port* reply_port = client_->AddPort(reply_type, 8);
+  const uint64_t seq = client_node_->NextDedupSeq();
+  auto send = [&] {
+    return client_->SendFull(port->name(), "get", {}, reply_port->name(),
+                             PortName{}, seq);
+  };
+  ASSERT_TRUE(send().ok());
+  auto first = client_->Receive(reply_port, Millis(2000));
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->command, "got");
+  EXPECT_TRUE(first->args == reply_args);
+  ASSERT_EQ(system_.metrics().CounterValue("node.dedup.journaled"), 1u);
+
+  // The server guardian dies with the node; only the journal can answer.
+  region_->Crash();
+  ASSERT_TRUE(region_->Restart().ok());
+  ASSERT_TRUE(send().ok());
+  auto replayed = client_->Receive(reply_port, Millis(5000));
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(replayed->command, "got");
+  EXPECT_TRUE(replayed->args == reply_args);
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"), 1u);
 }
 
 TEST_F(DedupSystemTest, CompactionKeepsTheReplyThatTriggeredIt) {

@@ -13,6 +13,7 @@
 #include "src/guardian/system.h"
 #include "src/net/flow.h"
 #include "src/sendprims/reliable_send.h"
+#include "src/sendprims/remote_call.h"
 #include "src/sendprims/sync_send.h"
 
 namespace guardians {
@@ -266,6 +267,45 @@ TEST(FlowSystemTest, ReliableSendRidesNacksWithoutBlindBackoff) {
       system.metrics().histogram("sendprims.reliable.backoff_us")->count(),
       0u);
   EXPECT_EQ(result->total_backoff.count(), 0);
+}
+
+// A system failure(...) is not a good reply: RemoteCall's last attempt
+// ends on the full-port nack, and the window that nack just halved earns no
+// implicit credit for it (credits come from application replies only).
+TEST(FlowSystemTest, FailureReplyToRemoteCallEarnsNoCredit) {
+  SystemConfig config;
+  config.seed = 29;
+  config.default_link.latency = Micros(50);
+  System system(config);
+  NodeRuntime& a = system.AddNode("a");
+  NodeRuntime& b = system.AddNode("b");
+  for (auto* node : {&a, &b}) {
+    node->RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  }
+  Guardian* caller = *a.Create<ShellGuardian>("shell", "caller", {});
+  Guardian* server = *b.Create<ShellGuardian>("shell", "server", {});
+  const PortType call_type(
+      "flow_call", {MessageSig{"call", {ArgType::Of(TypeTag::kString)},
+                               {"done"}}});
+  const PortType reply_type("flow_call_reply",
+                            {MessageSig{"done", {}, {}}});
+  // The server never receives; one message fills its 1-slot port.
+  Port* target = server->AddPort(call_type, /*capacity=*/1);
+  ASSERT_TRUE(caller->Send(target->name(), "call", {Value::Str("fill")}).ok());
+  system.network().DrainForTesting();
+
+  const uint64_t credits_before =
+      system.metrics().CounterValue("flow.implicit_credits");
+  RemoteCallOptions options;
+  options.timeout = Millis(2000);
+  options.max_attempts = 1;
+  auto reply = RemoteCall(*caller, target->name(), "call", {Value::Str("x")},
+                          reply_type, options);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->command, kFailureCommand);
+  EXPECT_GE(system.metrics().CounterValue("flow.full_nacks"), 1u);
+  EXPECT_EQ(system.metrics().CounterValue("flow.implicit_credits"),
+            credits_before);
 }
 
 // ---------------------------------------------------------------------------

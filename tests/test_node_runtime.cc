@@ -208,8 +208,8 @@ TEST_F(NodeRuntimeTest, PortTypeRegistryIsSystemWide) {
   // The echo header was "compiled into the library" when the port was
   // added at node b; node a can check sends against it.
   EXPECT_TRUE(system_.port_types().Knows(EchoType().hash()));
-  auto looked_up = system_.port_types().Lookup(EchoType().hash());
-  ASSERT_TRUE(looked_up.ok());
+  const PortType* looked_up = system_.port_types().Lookup(EchoType().hash());
+  ASSERT_NE(looked_up, nullptr);
   EXPECT_EQ(looked_up->name(), "node_echo");
   // Conflicting redefinition of the same hash is rejected; identical
   // re-registration is idempotent.

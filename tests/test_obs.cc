@@ -106,7 +106,8 @@ TEST(Trace, RecordAndDump) {
 TEST(DropReasons, PortPushDistinguishesFullFromRetired) {
   Mailbox mailbox;
   PortName pn;
-  Port port(pn, EchoPortType(), &mailbox, /*capacity=*/1);
+  const PortType type = EchoPortType();  // outlives the port
+  Port port(pn, &type, &mailbox, /*capacity=*/1);
   EXPECT_EQ(port.Push(Received{}), PushResult::kOk);
   EXPECT_EQ(port.Push(Received{}), PushResult::kFull);
   EXPECT_EQ(port.discarded_full(), 1u);
@@ -128,7 +129,8 @@ TEST(DropReasons, PortPushDistinguishesFullFromRetired) {
 TEST(DropReasons, RetireCountsQueuedMessagesIntoLedger) {
   Mailbox mailbox;
   PortName pn;
-  Port port(pn, EchoPortType(), &mailbox, /*capacity=*/8);
+  const PortType type = EchoPortType();  // outlives the port
+  Port port(pn, &type, &mailbox, /*capacity=*/8);
   for (int i = 0; i < 5; ++i) {
     ASSERT_EQ(port.Push(Received{}), PushResult::kOk);
   }
@@ -157,7 +159,8 @@ TEST(DropReasons, RetireCountsQueuedMessagesIntoLedger) {
 TEST(DropReasons, ControlTrafficUsesHeadroomAboveCapacity) {
   Mailbox mailbox;
   PortName pn;
-  Port port(pn, EchoPortType(), &mailbox, /*capacity=*/2);
+  const PortType type = EchoPortType();  // outlives the port
+  Port port(pn, &type, &mailbox, /*capacity=*/2);
   EXPECT_EQ(port.Push(Received{}), PushResult::kOk);
   EXPECT_EQ(port.Push(Received{}), PushResult::kOk);
   // Data is shed at capacity...

@@ -70,12 +70,12 @@ TEST(PortTypeTest, HashIsStableAndSensitive) {
 
 TEST(PortTypeTest, FindKnowsDeclaredAndImplicitFailure) {
   const PortType type = ReservePortType();
-  EXPECT_TRUE(type.Find("reserve").ok());
-  EXPECT_TRUE(type.Find("poll").ok());
-  EXPECT_FALSE(type.Find("cancel").ok());
+  EXPECT_NE(type.Find("reserve"), nullptr);
+  EXPECT_NE(type.Find("poll"), nullptr);
+  EXPECT_EQ(type.Find("cancel"), nullptr);
   // failure(string) is associated with every port type implicitly.
-  auto failure = type.Find(kFailureCommand);
-  ASSERT_TRUE(failure.ok());
+  const MessageSig* failure = type.Find(kFailureCommand);
+  ASSERT_NE(failure, nullptr);
   ASSERT_EQ(failure->args.size(), 1u);
   EXPECT_EQ(failure->args[0].tag, TypeTag::kString);
 }
