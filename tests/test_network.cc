@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/net/network.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/latch.h"
 
 namespace guardians {
@@ -397,6 +399,64 @@ TEST(NetworkTest, DuplicateCountsBitIdenticalAcrossShardCounts) {
               runs[i].packets_sent + runs[i].packets_duplicated);
   }
   EXPECT_GT(runs[0].packets_duplicated, 0u);
+}
+
+TEST(NetworkTest, MixedDestinationDrainKeepsPerDestinationOrder) {
+  // One shard owns every node, and virtual time makes all 30 packets due
+  // at once, so a single drain holds three destinations, one of them down.
+  // Each live destination gets one sink call carrying its packets in send
+  // order, the calls come in first-appearance order, and the down node's
+  // packets are counted as dst_down drops.
+  SimulatedClock sim;
+  MetricsRegistry metrics;
+  Network network(3, &metrics, nullptr, /*shards=*/1, /*batch_max=*/64,
+                  &sim);
+  const NodeId a = network.AddNode("a");
+  const NodeId b = network.AddNode("b");
+  const NodeId c = network.AddNode("c");
+  const NodeId d = network.AddNode("d");
+  std::mutex mu;
+  std::vector<NodeId> calls;
+  std::vector<uint64_t> got_b;
+  std::vector<uint64_t> got_c;
+  auto record = [&](NodeId node, std::vector<uint64_t>* got) {
+    return [&mu, &calls, node, got](std::vector<Packet>&& packets) {
+      std::lock_guard<std::mutex> lock(mu);
+      calls.push_back(node);
+      for (const Packet& p : packets) {
+        got->push_back(p.msg_id);
+      }
+    };
+  };
+  network.SetBatchSink(b, record(b, &got_b));
+  network.SetBatchSink(c, record(c, &got_c));
+  network.SetSink(d, [](Packet&&) {});
+  network.SetNodeUp(d, false);
+  network.SetDefaultLink(LinkParams{Millis(1), Micros(0), 0, 0, 0});
+  std::vector<uint64_t> sent_b;
+  std::vector<uint64_t> sent_c;
+  for (uint64_t i = 0; i < 30; ++i) {
+    const NodeId dst = i % 3 == 0 ? c : i % 3 == 1 ? d : b;
+    network.Send(MakePacket(a, dst, i));
+    if (dst == b) {
+      sent_b.push_back(i);
+    } else if (dst == c) {
+      sent_c.push_back(i);
+    }
+  }
+  sim.Advance(Millis(1));
+  network.DrainForTesting();
+
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.batch.drains"), 1u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.batch.packets"), 30u);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(calls, (std::vector<NodeId>{c, b}));
+  EXPECT_EQ(got_b, sent_b);
+  EXPECT_EQ(got_c, sent_c);
+  EXPECT_EQ(metrics.CounterValue("net.drop.dst_down"), 10u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.delivered"), 20u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.0.dropped"), 10u);
+  EXPECT_EQ(network.stats().packets_delivered, 20u);
 }
 
 TEST(NetworkTest, TotalsEqualTheirBreakdowns) {
