@@ -299,7 +299,8 @@ Result<std::unique_ptr<ChaosWorld>> BuildWorld(const ChaosConfig& config,
   // as a (false) conservation shortfall for the rest of the run.
   auto branch = world->region->Create<BranchGuardian>(
       BranchGuardian::kTypeName, "branch",
-      {Value::Int(Millis(500).count()), Value::Int(4)}, /*persistent=*/true);
+      {Value::Int(Micros(Millis(500)).count()), Value::Int(4)},
+      /*persistent=*/true);
   GUARDIANS_RETURN_IF_ERROR(branch.status());
   world->branch_port = (*branch)->ProvidedPorts()[0];
 

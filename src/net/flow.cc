@@ -172,7 +172,7 @@ void FlowController::OnCreditBatch(const PortName& port, uint32_t queue_depth,
 }
 
 void FlowController::OnFullNack(const PortName& port, uint32_t queue_depth,
-                                uint32_t capacity) {
+                                uint32_t capacity, uint64_t trace_id) {
   if (!config_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) return;
@@ -186,7 +186,7 @@ void FlowController::OnFullNack(const PortName& port, uint32_t queue_depth,
   entry.congested_until = clock_->Now() + entry.reopen;
   if (full_nacks_ != nullptr) full_nacks_->Inc();
   if (traces_ != nullptr) {
-    traces_->Record(CurrentTraceId(), node_, "flow.nack",
+    traces_->Record(trace_id, node_, "flow.nack",
                     port.ToString() + " depth=" + std::to_string(queue_depth));
   }
   // Waiters re-evaluate: the window shrank but congested_until also moved,

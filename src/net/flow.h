@@ -121,9 +121,11 @@ class FlowController {
   void OnCreditBatch(const PortName& port, uint32_t queue_depth,
                      uint32_t capacity, uint32_t credits);
   // A full-port nack carrying the receiver's current queue depth:
-  // multiplicative decrease plus the congested hold.
+  // multiplicative decrease plus the congested hold. `trace_id` is the
+  // nack envelope's (the shed message's trace): the delivery path that
+  // applies it has no current trace of its own.
   void OnFullNack(const PortName& port, uint32_t queue_depth,
-                  uint32_t capacity);
+                  uint32_t capacity, uint64_t trace_id);
   // A successful round trip observed locally (reply received) with no wire
   // credit attached: additive increase only.
   void OnLocalSuccess(const PortName& port);

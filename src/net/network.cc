@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <optional>
 
 #include "src/common/log.h"
 
@@ -17,6 +16,10 @@ constexpr const char* kDropPoints[] = {
     "net.drop.src_down", "net.drop.partition", "net.drop.partition_oneway",
     "net.drop.loss",     "net.drop.dst_down",  "net.drop.holdback_shutdown",
 };
+
+// Set while this thread runs a drain (a worker's or its own inline one):
+// sends its sinks make then go to the heap, never into a nested drain.
+thread_local bool t_in_drain = false;
 
 }  // namespace
 
@@ -38,6 +41,7 @@ Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
     drop_counters_[r] = metrics_->counter(kDropPoints[r]);
   }
   delivery_latency_ = metrics_->histogram("net.delivery_latency_us");
+  reorder_released_ = metrics_->counter("net.reorder.released");
   shards_.reserve(std::max<size_t>(shards, 1));
   for (size_t k = 0; k < std::max<size_t>(shards, 1); ++k) {
     auto shard = std::make_unique<Shard>();
@@ -47,6 +51,7 @@ Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
     shard->dropped = metrics_->counter(prefix + "dropped");
     shard->batch_drains = metrics_->counter(prefix + "batch.drains");
     shard->batch_packets = metrics_->counter(prefix + "batch.packets");
+    shard->batch_inline = metrics_->counter(prefix + "batch.inline");
     shard->batch_size = metrics_->histogram(
         prefix + "batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
     shards_.push_back(std::move(shard));
@@ -90,6 +95,13 @@ void Network::Shutdown() {
   }
   for (auto& shard : shards_) {
     shard->worker.join();
+  }
+  // A sending thread may still be running a drain it took the token for
+  // before stopping_ was set (no later sender can take one); wait it out,
+  // so no sink runs once this returns.
+  for (auto& shard : shards_) {
+    std::unique_lock<std::mutex> lock(shard->mu);
+    shard->cv.wait(lock, [&shard] { return !shard->draining; });
   }
   // Unblock any drainer waiting on packets the stopped workers abandoned.
   { std::lock_guard<std::mutex> lock(drain_mu_); }
@@ -196,164 +208,230 @@ uint64_t Network::link_epoch() const {
   return link_epoch_;
 }
 
-void Network::Send(Packet packet) {
-  InFlight entry;
-  std::optional<InFlight> duplicate;
+void Network::Send(std::span<Packet> packets, bool deliver_inline) {
+  // The message's surviving copies. Thread-local scratch, so a warm Send
+  // allocates nothing; a sink that sends from inside this thread's drain
+  // reuses it only after TryDrainInline has moved the entries out.
+  thread_local std::vector<InFlight> decided;
+  decided.clear();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    totals_.sent->Inc();
-    totals_.bytes_sent->Inc(packet.WireSize());
-    LinkCounters& link_counters = CountersForLink(packet.src, packet.dst);
-    link_counters.sent->Inc();
-
-    const bool src_ok = packet.src >= 1 && packet.src <= node_up_.size() &&
-                        node_up_[packet.src - 1];
-    const bool partitioned =
-        packet.src != packet.dst &&
-        partitions_.count(LinkKey(packet.src, packet.dst)) > 0;
-    const bool cut_oneway =
-        packet.src != packet.dst &&
-        oneway_partitions_.count(LinkKey(packet.src, packet.dst)) > 0;
-    if (!src_ok || partitioned || cut_oneway) {
-      CountDrop(packet, !src_ok        ? DropReason::kSrcDown
-                        : partitioned ? DropReason::kPartition
-                                      : DropReason::kPartitionOneway);
-      return;
+    const TimePoint now = clock_->Now();
+    for (Packet& packet : packets) {
+      DecideLocked(std::move(packet), now, decided);
     }
+  }
+  if (decided.empty()) {
+    return;  // every copy was dropped or captured by a reorder hold
+  }
+  // in_flight_ rises before anyone can resolve the copies, so
+  // DrainForTesting never observes a false zero.
+  in_flight_.fetch_add(decided.size(), std::memory_order_acq_rel);
+  if (deliver_inline && !t_in_drain && TryDrainInline(decided)) {
+    return;
+  }
+  // A message's copies share the destination, hence the shard.
+  EnqueueToShard(decided);
+}
 
-    LinkParams link = default_link_;
-    if (packet.src != packet.dst) {
-      auto it = links_.find(LinkKey(packet.src, packet.dst));
-      if (it != links_.end()) {
-        link = it->second;
-      }
-    } else {
-      link = LinkParams{Micros(0), Micros(0), 0.0, 0.0, 0.0};
+void Network::DecideLocked(Packet&& packet, TimePoint now,
+                           std::vector<InFlight>& out) {
+  totals_.sent->Inc();
+  totals_.bytes_sent->Inc(packet.WireSize());
+  LinkCounters& link_counters = CountersForLink(packet.src, packet.dst);
+  link_counters.sent->Inc();
+
+  const bool src_ok = packet.src >= 1 && packet.src <= node_up_.size() &&
+                      node_up_[packet.src - 1];
+  const bool partitioned =
+      packet.src != packet.dst &&
+      partitions_.count(LinkKey(packet.src, packet.dst)) > 0;
+  const bool cut_oneway =
+      packet.src != packet.dst &&
+      oneway_partitions_.count(LinkKey(packet.src, packet.dst)) > 0;
+  if (!src_ok || partitioned || cut_oneway) {
+    CountDrop(packet, !src_ok        ? DropReason::kSrcDown
+                      : partitioned ? DropReason::kPartition
+                                    : DropReason::kPartitionOneway);
+    return;
+  }
+
+  LinkParams link = default_link_;
+  if (packet.src != packet.dst) {
+    auto it = links_.find(LinkKey(packet.src, packet.dst));
+    if (it != links_.end()) {
+      link = it->second;
     }
+  } else {
+    link = LinkParams{Micros(0), Micros(0), 0.0, 0.0, 0.0};
+  }
 
-    if (rng_.NextBool(link.drop_prob)) {
-      CountDrop(packet, DropReason::kLoss);
-      return;
-    }
-    if (!packet.payload.empty() && rng_.NextBool(link.corrupt_prob)) {
-      // Flip one byte; the error-detection bits will reject the packet at
-      // the receiving node (it keeps its stale CRC on purpose).
-      // MutableData copy-on-writes this one fragment's view, so sibling
-      // fragments and any duplicate injected below share storage with each
-      // other but never see the flipped byte... unless the duplicate is
-      // cloned *from* the corrupted packet, which is exactly the old
-      // deep-copy behavior: corruption-then-dup yields two bad twins.
-      const size_t at = rng_.NextBelow(packet.payload.size());
-      packet.payload.MutableData()[at] ^=
-          static_cast<uint8_t>(1 + rng_.NextBelow(255));
-      totals_.corrupted->Inc();
-      link_counters.corrupted->Inc();
-      if (traces_ != nullptr) {
-        traces_->Record(packet.trace_id, 0, "net.corrupted",
-                        "n" + std::to_string(packet.src) + "->n" +
-                            std::to_string(packet.dst));
-      }
-    }
-
-    // Each copy rolls its own latency/jitter, so a duplicate reorders
-    // freely against the original (it may even arrive first).
-    auto roll_delay = [&]() {
-      int64_t delay_us = ToMicros(link.latency);
-      if (link.jitter.count() > 0) {
-        delay_us += static_cast<int64_t>(
-            rng_.NextNormal(0.0, static_cast<double>(link.jitter.count())));
-      }
-      if (link.bytes_per_micro > 0.0) {
-        delay_us += static_cast<int64_t>(
-            static_cast<double>(packet.WireSize()) / link.bytes_per_micro);
-      }
-      return std::max<int64_t>(delay_us, 0);
-    };
-
-    entry.sent_at = clock_->Now();
-    entry.deliver_at = entry.sent_at + Micros(roll_delay());
-    entry.seq = seq_++;
-
-    if (rng_.NextBool(link.dup_prob)) {
-      // The network invents a second in-flight copy of the same packet
-      // (§1.1: the network may duplicate messages). Both copies resolve
-      // independently downstream, so packets_delivered + packets_dropped
-      // balances against packets_sent + packets_duplicated.
-      totals_.duplicated->Inc();
-      link_counters.duplicated->Inc();
-      if (traces_ != nullptr) {
-        traces_->Record(packet.trace_id, 0, "net.duplicated",
-                        "n" + std::to_string(packet.src) + "->n" +
-                            std::to_string(packet.dst) + " frag " +
-                            std::to_string(packet.frag_index + 1) + "/" +
-                            std::to_string(packet.frag_count));
-      }
-      InFlight copy;
-      copy.sent_at = entry.sent_at;
-      copy.deliver_at = entry.sent_at + Micros(roll_delay());
-      copy.seq = seq_++;
-      copy.packet = packet;  // payload is a shared view: the twin costs a
-                             // refcount bump, not a byte clone
-      duplicate.emplace(std::move(copy));
-    }
-    entry.packet = std::move(packet);
-
-    // Reordering storm: a held link captures decided packets instead of
-    // scheduling them (the dice above rolled exactly as usual, so counts
-    // and the rng stream are unchanged); ReleaseHeld re-schedules them
-    // shuffled. Held copies are in flight — drains wait for the release.
-    if (!held_pairs_.empty() &&
-        held_pairs_.count(LinkKey(entry.packet.src, entry.packet.dst)) > 0) {
-      const uint64_t copies = duplicate.has_value() ? 2 : 1;
-      if (held_.size() + copies <= held_max_) {
-        in_flight_.fetch_add(copies, std::memory_order_acq_rel);
-        held_.push_back(std::move(entry));
-        if (duplicate.has_value()) {
-          held_.push_back(std::move(*duplicate));
-        }
-        return;
-      }
+  if (rng_.NextBool(link.drop_prob)) {
+    CountDrop(packet, DropReason::kLoss);
+    return;
+  }
+  if (!packet.payload.empty() && rng_.NextBool(link.corrupt_prob)) {
+    // Flip one byte; the error-detection bits will reject the packet at
+    // the receiving node (it keeps its stale CRC on purpose).
+    // MutableData copy-on-writes this one fragment's view, so sibling
+    // fragments and any duplicate injected below share storage with each
+    // other but never see the flipped byte... unless the duplicate is
+    // cloned *from* the corrupted packet, which is exactly the old
+    // deep-copy behavior: corruption-then-dup yields two bad twins.
+    const size_t at = rng_.NextBelow(packet.payload.size());
+    packet.payload.MutableData()[at] ^=
+        static_cast<uint8_t>(1 + rng_.NextBelow(255));
+    totals_.corrupted->Inc();
+    link_counters.corrupted->Inc();
+    if (traces_ != nullptr) {
+      traces_->Record(packet.trace_id, 0, "net.corrupted",
+                      "n" + std::to_string(packet.src) + "->n" +
+                          std::to_string(packet.dst));
     }
   }
 
-  // The drop/corrupt/latency/duplication dice are cast; hand the copy (or
-  // copies — a duplicate shares the destination, hence the shard) to its
-  // destination's shard. in_flight_ rises before the worker can resolve
-  // the packets, so DrainForTesting never observes a false zero.
-  const uint64_t copies = duplicate.has_value() ? 2 : 1;
-  in_flight_.fetch_add(copies, std::memory_order_acq_rel);
-  EnqueueToShard(std::move(entry));
-  if (duplicate.has_value()) {
-    EnqueueToShard(std::move(*duplicate));
+  // Each copy rolls its own latency/jitter, so a duplicate reorders
+  // freely against the original (it may even arrive first).
+  auto roll_delay = [&]() {
+    int64_t delay_us = ToMicros(link.latency);
+    if (link.jitter.count() > 0) {
+      delay_us += static_cast<int64_t>(
+          rng_.NextNormal(0.0, static_cast<double>(link.jitter.count())));
+    }
+    if (link.bytes_per_micro > 0.0) {
+      delay_us += static_cast<int64_t>(
+          static_cast<double>(packet.WireSize()) / link.bytes_per_micro);
+    }
+    return std::max<int64_t>(delay_us, 0);
+  };
+
+  const size_t first = out.size();
+  out.emplace_back();
+  out[first].sent_at = now;
+  out[first].deliver_at = now + Micros(roll_delay());
+  out[first].seq = seq_++;
+
+  if (rng_.NextBool(link.dup_prob)) {
+    // The network invents a second in-flight copy of the same packet
+    // (§1.1: the network may duplicate messages). Both copies resolve
+    // independently downstream, so packets_delivered + packets_dropped
+    // balances against packets_sent + packets_duplicated.
+    totals_.duplicated->Inc();
+    link_counters.duplicated->Inc();
+    if (traces_ != nullptr) {
+      traces_->Record(packet.trace_id, 0, "net.duplicated",
+                      "n" + std::to_string(packet.src) + "->n" +
+                          std::to_string(packet.dst) + " frag " +
+                          std::to_string(packet.frag_index + 1) + "/" +
+                          std::to_string(packet.frag_count));
+    }
+    InFlight& copy = out.emplace_back();
+    copy.sent_at = now;
+    copy.deliver_at = now + Micros(roll_delay());
+    copy.seq = seq_++;
+    copy.packet = packet;  // payload is a shared view: the twin costs a
+                           // refcount bump, not a byte clone
+  }
+  out[first].packet = std::move(packet);
+
+  // Reordering storm: a held link captures decided packets instead of
+  // scheduling them (the dice above rolled exactly as usual, so counts
+  // and the rng stream are unchanged); ReleaseHeld re-schedules them
+  // shuffled. Held copies are in flight — drains wait for the release.
+  if (!held_pairs_.empty() &&
+      held_pairs_.count(LinkKey(out[first].packet.src,
+                                out[first].packet.dst)) > 0) {
+    const size_t copies = out.size() - first;
+    if (held_.size() + copies <= held_max_) {
+      in_flight_.fetch_add(copies, std::memory_order_acq_rel);
+      for (size_t i = first; i < out.size(); ++i) {
+        held_.push_back(std::move(out[i]));
+      }
+      out.resize(first);
+    }
   }
 }
 
-void Network::EnqueueToShard(InFlight&& entry) {
-  Shard& shard = ShardFor(entry.packet.dst);
+bool Network::TryDrainInline(std::vector<InFlight>& decided) {
+  if (decided.size() > batch_max_) {
+    return false;
+  }
+  const TimePoint now = clock_->Now();
+  for (const InFlight& entry : decided) {
+    if (entry.deliver_at > now) {
+      return false;
+    }
+  }
+  Shard& shard = ShardFor(decided.front().packet.dst);
+  {
+    // An empty heap with a free token means every earlier packet for this
+    // shard has left its sink, so delivering now keeps per-destination
+    // order.
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (stopping_.load() || shard.draining || !shard.heap.empty()) {
+      return false;
+    }
+    shard.draining = true;
+  }
+  // The token's scratch takes the copies in the order the heap would pop
+  // them. They count as enqueued, like heaped ones: the shard's ledger is
+  // enqueued == delivered + dropped either way.
+  std::sort(decided.begin(), decided.end(),
+            [](const InFlight& a, const InFlight& b) {
+              return DueLater{}(b, a);
+            });
+  shard.batch.clear();
+  std::move(decided.begin(), decided.end(), std::back_inserter(shard.batch));
+  decided.clear();
+  shard.enqueued->Inc(shard.batch.size());
+  RunDrain(shard, /*by_sender=*/true);
+  const size_t delivered = shard.batch.size();
+  bool wake_worker = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.draining = false;
+    // Senders that found the token taken heaped their packets; the worker
+    // waits for the token to take them (and Shutdown for the drain).
+    wake_worker = !shard.heap.empty() || stopping_.load();
+  }
+  if (wake_worker) {
+    shard.cv.notify_all();
+  }
+  FinishMany(delivered);
+  return true;
+}
+
+void Network::EnqueueToShard(std::span<InFlight> entries) {
+  const NodeId dst = entries.front().packet.dst;
+  Shard& shard = ShardFor(dst);
   bool wake_worker = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (stopping_.load()) {
-      // Workers are gone; the packet silently vanishes (it was "in
+      // Workers are gone; the packets silently vanish (they were "in
       // flight" when the world stopped), and the drain barrier must not
-      // wait on it.
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      // wait on them.
+      in_flight_.fetch_sub(entries.size(), std::memory_order_acq_rel);
       return;
     }
     const bool was_empty = shard.heap.empty();
     const TimePoint old_front_due =
         was_empty ? TimePoint{} : shard.heap.front().deliver_at;
-    shard.heap.push_back(std::move(entry));
-    std::push_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
-    shard.enqueued->Inc();
+    for (InFlight& entry : entries) {
+      assert(entry.packet.dst == dst);
+      shard.heap.push_back(std::move(entry));
+      std::push_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
+    }
+    shard.enqueued->Inc(entries.size());
     // Wake coalescing: the worker only needs a signal when the heap went
     // empty -> non-empty (it may be in its indefinite wait) or when a new
     // entry preempts the front (its wait_until deadline is now too late).
     // A backlogged shard — front already due — never needs one: the worker
     // is either draining or about to re-check the heap, so the common
-    // saturated Send pays no futex wake at all.
-    wake_worker =
-        was_empty || shard.heap.front().deliver_at < old_front_due;
+    // saturated Send pays no futex wake at all. Nor does a shard whose
+    // token is taken: its holder re-checks the heap when it lets go.
+    wake_worker = !shard.draining &&
+                  (was_empty || shard.heap.front().deliver_at < old_front_due);
   }
   if (wake_worker) {
     shard.cv.notify_all();
@@ -390,11 +468,11 @@ void Network::ReleaseHeld(uint64_t shuffle_seed) {
       for (size_t i = 0; i < held.size(); ++i) {
         held[i].deliver_at = now + Micros(static_cast<int64_t>(i));
       }
-      metrics_->counter("net.reorder.released")->Inc(held.size());
+      reorder_released_->Inc(held.size());
     }
   }
   for (InFlight& entry : held) {
-    EnqueueToShard(std::move(entry));
+    EnqueueToShard(std::span<InFlight>(&entry, 1));
   }
 }
 
@@ -468,16 +546,16 @@ void Network::CountDrop(const Packet& packet, DropReason reason) {
 
 void Network::ShardLoop(Shard& shard) {
   std::unique_lock<std::mutex> lock(shard.mu);
-  std::vector<InFlight> batch;
-  batch.reserve(batch_max_);
   for (;;) {
     if (stopping_.load()) {
       return;
     }
-    if (shard.heap.empty()) {
-      clock_->WaitUntil(
-          shard.cv, lock, TimePoint::max(),
-          [&] { return stopping_.load() || !shard.heap.empty(); });
+    if (shard.heap.empty() || shard.draining) {
+      // Idle, or a sending thread holds the token: its release wakes us
+      // if it leaves packets in the heap.
+      clock_->WaitUntil(shard.cv, lock, TimePoint::max(), [&] {
+        return stopping_.load() || (!shard.heap.empty() && !shard.draining);
+      });
       continue;
     }
     const TimePoint now = clock_->Now();
@@ -486,14 +564,15 @@ void Network::ShardLoop(Shard& shard) {
       continue;
     }
 
-    // One lock acquisition drains every due entry (bounded by batch_max_),
-    // in heap order — so per-destination delivery order is exactly what
-    // the one-packet-per-wake engine produced.
-    batch.clear();
-    while (!shard.heap.empty() && batch.size() < batch_max_ &&
+    // One lock acquisition takes the token and drains every due entry
+    // (bounded by batch_max_), in heap order — so per-destination delivery
+    // order is exactly what the one-packet-per-wake engine produced.
+    shard.draining = true;
+    shard.batch.clear();
+    while (!shard.heap.empty() && shard.batch.size() < batch_max_ &&
            shard.heap.front().deliver_at <= now) {
       std::pop_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
-      batch.push_back(std::move(shard.heap.back()));
+      shard.batch.push_back(std::move(shard.heap.back()));
       shard.heap.pop_back();
     }
 
@@ -501,16 +580,29 @@ void Network::ShardLoop(Shard& shard) {
     // system failure reply) or hand off to guardian processes, and other
     // shards' sinks run concurrently with this one.
     lock.unlock();
-    shard.batch_drains->Inc();
-    shard.batch_packets->Inc(batch.size());
-    shard.batch_size->Observe(batch.size());
-    DeliverBatch(shard, batch);
-    FinishMany(batch.size());
+    RunDrain(shard, /*by_sender=*/false);
     lock.lock();
+    shard.draining = false;
+    // Resolved only once the token is free again, so a drain barrier
+    // that returns leaves every token free.
+    FinishMany(shard.batch.size());
   }
 }
 
-void Network::DeliverBatch(Shard& shard, std::vector<InFlight>& batch) {
+void Network::RunDrain(Shard& shard, bool by_sender) {
+  const size_t packets = shard.batch.size();
+  shard.batch_drains->Inc();
+  if (by_sender) {
+    shard.batch_inline->Inc();
+  }
+  shard.batch_packets->Inc(packets);
+  shard.batch_size->Observe(packets);
+  t_in_drain = true;
+  DeliverBatch(shard);
+  t_in_drain = false;
+}
+
+void Network::DeliverBatch(Shard& shard) {
   // Group by destination, visiting destinations in first-appearance order
   // so a given seed produces the same sink-call sequence at every batch
   // size. The scan is linear in (destinations × batch): a shard owns few
@@ -518,19 +610,19 @@ void Network::DeliverBatch(Shard& shard, std::vector<InFlight>& batch) {
   // shard's reused scratch, so a warm drain allocates nothing.
   std::vector<NodeId>& destinations = shard.destinations;
   destinations.clear();
-  for (const InFlight& entry : batch) {
+  for (const InFlight& entry : shard.batch) {
     if (std::find(destinations.begin(), destinations.end(),
                   entry.packet.dst) == destinations.end()) {
       destinations.push_back(entry.packet.dst);
     }
   }
   for (const NodeId dst : destinations) {
-    DeliverGroup(shard, dst, batch);
+    DeliverGroup(shard, dst);
   }
 }
 
-void Network::DeliverGroup(Shard& shard, NodeId dst,
-                           std::vector<InFlight>& batch) {
+void Network::DeliverGroup(Shard& shard, NodeId dst) {
+  std::vector<InFlight>& batch = shard.batch;
   PacketBatchSink sink;
   std::vector<Packet>& deliverable = shard.deliverable;
   uint64_t dropped = 0;

@@ -29,6 +29,13 @@
 // reproduces the unbatched engine exactly, and outcome counts stay
 // bit-identical at every batch size.
 //
+// Who delivers (DESIGN.md §8): each shard has one drain token, held by
+// whoever runs a drain, so a shard's sinks never run concurrently. A
+// sender that asks for it takes the token itself when the shard is idle
+// (token free, heap empty) and every surviving copy of its message is due
+// now; it then runs the same drain on its own thread, with no worker wake.
+// Otherwise its packets are heaped for the worker, exactly as before.
+//
 // The substitution for the paper's physical network is documented in
 // DESIGN.md: every failure mode the paper reasons about (loss, reordering,
 // corruption, unreachable nodes) is reproduced with controllable,
@@ -42,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -89,9 +97,11 @@ struct NetworkStats {
 };
 
 // Receives reassembly-ready packets at a node. Called on a delivery worker
-// thread; the packet is handed over by move (the network keeps nothing).
+// thread, or on a sending thread that took the shard's drain token; the
+// packet is handed over by move (the network keeps nothing).
 // Implementations must be quick and must not block. Sinks for different
-// nodes may run concurrently; the sink of one node never runs reentrantly.
+// nodes may run concurrently; the sink of one node never runs reentrantly
+// or concurrently with itself.
 using PacketSink = std::function<void(Packet&&)>;
 // The batch entry point: every packet in one call shares the destination
 // node and arrives in delivery order. Same threading contract as
@@ -149,9 +159,9 @@ class Network {
   // Link characteristics. SetLink applies to both directions. All link
   // mutators (SetLink, SetDefaultLink, the partition calls) take the same
   // global lock Send() rolls its dice under, so a mid-run storm applies on
-  // a packet boundary: every packet is sent entirely under the old params
-  // or entirely under the new ones, never a mixture — which keeps chaos
-  // runs deterministic at any shard/batch configuration.
+  // a message boundary: every message is sent entirely under the old
+  // params or entirely under the new ones, never a mixture — which keeps
+  // chaos runs deterministic at any shard/batch configuration.
   void SetDefaultLink(const LinkParams& params);
   void SetLink(NodeId a, NodeId b, const LinkParams& params);
   LinkParams GetLink(NodeId from, NodeId to) const;
@@ -185,12 +195,24 @@ class Network {
   // applied, and marks epochs in traces.
   uint64_t link_epoch() const;
 
-  // Inject one packet. Loss/corruption/latency are decided here, under one
-  // lock and one rng, so outcomes depend only on the seed and the Send
-  // order — never on worker count. Delivery happens later on the
-  // destination's shard worker. Local (src == dst) delivery still goes
-  // through the shard queue but with zero link cost.
-  void Send(Packet packet);
+  // Inject one message: its packets (every fragment; all share src and
+  // dst), consumed by move. Loss/corruption/latency are decided here, for
+  // all of them under one lock hold and one rng, so outcomes depend only on
+  // the seed and the Send order — never on worker count. Unless
+  // `deliver_inline` applies, delivery happens later on the destination's
+  // shard worker. Local (src == dst) delivery takes the same path with
+  // zero link cost.
+  //
+  // `deliver_inline` asks to deliver on the calling thread instead: the
+  // caller runs the drain itself, before Send returns, when it is not
+  // already inside a drain, the destination shard's token is free and its
+  // heap empty, and every surviving copy (at most batch_max) is due now.
+  // Otherwise the request is ignored and the worker delivers as usual.
+  void Send(std::span<Packet> packets, bool deliver_inline = false);
+  // The one-packet case.
+  void Send(Packet packet, bool deliver_inline = false) {
+    Send(std::span<Packet>(&packet, 1), deliver_inline);
+  }
 
   // Block until no packets remain in flight on any shard and no sink is
   // mid-call (useful in tests). Packets a sink re-sends while draining are
@@ -202,10 +224,12 @@ class Network {
   // at future virtual deliver_at instants can become due.
   bool DrainForTesting(Micros wall_timeout);
 
-  // Stop every delivery worker and join them; no sink runs after this
-  // returns. Idempotent. System teardown calls it before destroying the
-  // node runtimes the sinks point into (they would otherwise race a
-  // delivery already in flight); ~Network calls it too.
+  // Stop every delivery worker and join them, and wait out any drain a
+  // sending thread is running; no sink runs after this returns (sends
+  // racing it are discarded, never drained). Idempotent. Never call it
+  // from a sink. System teardown calls it before destroying the node
+  // runtimes the sinks point into (they would otherwise race a delivery
+  // already in flight); ~Network calls it too.
   void Shutdown();
 
   // Reads the net.* totals under the lock that guards every increment of
@@ -232,23 +256,30 @@ class Network {
   };
 
   // One delivery worker: a timing heap of packets addressed to the nodes
-  // this shard owns, its own lock/condvar, and per-shard counters
-  // (net.shard.<k>.{enqueued,delivered,dropped} plus the batching
-  // telemetry net.shard.<k>.batch.{drains,packets} and the batch.size
-  // histogram).
+  // this shard owns, its own lock/condvar, the drain token, and per-shard
+  // counters (net.shard.<k>.{enqueued,delivered,dropped} plus the batching
+  // telemetry net.shard.<k>.batch.{drains,packets,inline} and the
+  // batch.size histogram).
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;
     std::vector<InFlight> heap;  // guarded by mu; DueLater min-heap
+    // The drain token, guarded by mu: set while the worker or a sending
+    // thread runs a drain. It serializes the shard's sinks, and whoever
+    // holds it owns the scratch below.
+    bool draining = false;
     std::thread worker;
     Counter* enqueued = nullptr;
     Counter* delivered = nullptr;
     Counter* dropped = nullptr;
     Counter* batch_drains = nullptr;
     Counter* batch_packets = nullptr;
+    Counter* batch_inline = nullptr;  // drains run by a sending thread
     Histogram* batch_size = nullptr;
-    // The worker's scratch, reused across drains: the drain's destinations
-    // in first-appearance order, and the hand-off vector to a sink.
+    // Drain scratch, reused across drains: the batch itself, the drain's
+    // destinations in first-appearance order, and the hand-off vector to
+    // a sink.
+    std::vector<InFlight> batch;
     std::vector<NodeId> destinations;
     std::vector<Packet> deliverable;
   };
@@ -294,12 +325,24 @@ class Network {
     return *shards_[dst == 0 ? 0 : (dst - 1) % shards_.size()];
   }
   void ShardLoop(Shard& shard);
+  // Requires mu_ held: rolls one packet's dice and appends its surviving
+  // copies (none, the packet, or the packet and its duplicate) to `out`,
+  // or captures them under a reorder hold.
+  void DecideLocked(Packet&& packet, TimePoint now,
+                    std::vector<InFlight>& out);
+  // Deliver `decided` (one message's copies, already in in_flight_) on
+  // the calling thread if the shard's token can be taken for it; false
+  // leaves `decided` untouched for the heap.
+  bool TryDrainInline(std::vector<InFlight>& decided);
+  // One drain of shard.batch by the token's holder: batch telemetry, then
+  // DeliverBatch. Sends the sinks make meanwhile never drain inline.
+  void RunDrain(Shard& shard, bool by_sender);
   // Deliver one drained batch: group by destination (first-appearance
   // order; the batch itself is in (deliver_at, seq) order, so each group's
   // subsequence is too), then one stats pass + one sink call per group.
   // DeliverGroup picks `dst`'s entries out of the whole batch.
-  void DeliverBatch(Shard& shard, std::vector<InFlight>& batch);
-  void DeliverGroup(Shard& shard, NodeId dst, std::vector<InFlight>& batch);
+  void DeliverBatch(Shard& shard);
+  void DeliverGroup(Shard& shard, NodeId dst);
   // `n` packets left the system (delivered or dropped at delivery time);
   // wakes DrainForTesting when the last one resolves.
   void FinishMany(uint64_t n);
@@ -309,9 +352,10 @@ class Network {
   // and its link.
   void CountDrop(const Packet& packet, DropReason reason);
 
-  // Enqueue one decided entry onto its destination shard (wake-coalesced);
-  // the in-flight count must already cover it.
-  void EnqueueToShard(InFlight&& entry);
+  // Enqueue decided entries that share one destination onto its shard
+  // under one lock hold (wake-coalesced); the in-flight count must already
+  // cover them.
+  void EnqueueToShard(std::span<InFlight> entries);
 
   mutable std::mutex mu_;
   const ClockSource* clock_;
@@ -336,6 +380,7 @@ class Network {
   TotalCounters totals_;
   Counter* drop_counters_[kDropReasons] = {};  // by DropReason
   Histogram* delivery_latency_ = nullptr;
+  Counter* reorder_released_ = nullptr;  // net.reorder.released
   std::unordered_map<uint64_t, LinkCounters> link_counters_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

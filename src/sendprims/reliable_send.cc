@@ -14,12 +14,9 @@ Result<ReliableSendResult> ReliableSend(Guardian& sender, const PortName& to,
                                         const std::string& command,
                                         const ValueList& args,
                                         const ReliableSendOptions& options) {
-  MetricsRegistry& metrics = sender.runtime().system().metrics();
-  metrics.counter("sendprims.reliable.calls")->Inc();
-  Counter* attempts_counter = metrics.counter("sendprims.reliable.attempts");
-  Counter* timeouts_counter = metrics.counter("sendprims.reliable.timeouts");
-  Histogram* backoff_hist =
-      metrics.histogram("sendprims.reliable.backoff_us");
+  const NodeRuntime::ReliableCounters& counters =
+      sender.runtime().reliable_counters();
+  counters.calls->Inc();
 
   Rng rng = sender.runtime().ForkRng();
   ReliableSendResult result;
@@ -44,27 +41,27 @@ Result<ReliableSendResult> ReliableSend(Guardian& sender, const PortName& to,
     const Micros remaining = overall.Remaining();
     if (overall.Expired() ||
         (!overall.IsInfinite() && remaining.count() <= 0)) {
-      metrics.counter("sendprims.reliable.deadline_exceeded")->Inc();
+      counters.deadline_exceeded->Inc();
       return Status(Code::kTimeout, "reliable send deadline exceeded after " +
                                         std::to_string(result.attempts) +
                                         " attempts");
     }
     result.attempts = attempt;
-    attempts_counter->Inc();
+    counters.attempts->Inc();
     Status st = SyncSend(sender, to, command, args,
                          overall.IsInfinite()
                              ? options.ack_timeout
                              : std::min(options.ack_timeout, remaining),
                          dedup_seq);
     if (st.ok()) {
-      metrics.counter("sendprims.reliable.ok")->Inc();
+      counters.ok->Inc();
       return result;
     }
     if (st.code() != Code::kTimeout && st.code() != Code::kPortFull) {
       // Type error, node down, ...: retrying cannot help. Counted so the
       // per-call outcome breakdown (.ok + .exhausted + .deadline_exceeded
       // + .hard_fail) sums to .calls.
-      metrics.counter("sendprims.reliable.hard_fail")->Inc();
+      counters.hard_fail->Inc();
       return st;
     }
     if (st.code() == Code::kPortFull) {
@@ -72,11 +69,11 @@ Result<ReliableSendResult> ReliableSend(Guardian& sender, const PortName& to,
       // congestion window already halved. Retry without the blind
       // exponential backoff — the window's congested hold paces the next
       // SyncSend at the receiver's actual recovery rate.
-      metrics.counter("sendprims.reliable.full_nacks")->Inc();
+      counters.full_nacks->Inc();
       last = st;
       continue;
     }
-    timeouts_counter->Inc();
+    counters.timeouts->Inc();
     last = st;
     if (attempt < options.max_attempts && backoff_us > 0.0) {
       // ±jitter around the current backoff step, capped at max_backoff and
@@ -91,7 +88,7 @@ Result<ReliableSendResult> ReliableSend(Guardian& sender, const PortName& to,
       }
       const Micros delay(static_cast<int64_t>(jittered));
       if (delay.count() > 0) {
-        backoff_hist->Observe(static_cast<uint64_t>(delay.count()));
+        counters.backoff_us->Observe(static_cast<uint64_t>(delay.count()));
         clock.SleepFor(delay);
         result.total_backoff += delay;
       }
@@ -100,7 +97,7 @@ Result<ReliableSendResult> ReliableSend(Guardian& sender, const PortName& to,
           static_cast<double>(options.max_backoff.count()));
     }
   }
-  metrics.counter("sendprims.reliable.exhausted")->Inc();
+  counters.exhausted->Inc();
   return last;
 }
 

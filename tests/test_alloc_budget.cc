@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "src/common/buffer.h"
 #include "src/guardian/system.h"
@@ -175,15 +176,31 @@ class EchoGuardian : public Guardian {
   }
 };
 
+// Drains run by a sending thread, summed over every shard
+// (net.shard.<k>.batch.inline).
+uint64_t InlineDrains(const MetricsRegistry& metrics) {
+  uint64_t total = 0;
+  for (const auto& [name, value] : metrics.CountersWithPrefix("net.shard.")) {
+    if (name.ends_with(".batch.inline")) {
+      total += value;
+    }
+  }
+  return total;
+}
+
 TEST(AllocBudgetTest, RemoteCallRoundTripIsBounded) {
   // The whole real path of one call, on every thread it touches: type
   // check, encode, dedup gate and journal, fragment, network, delivery
   // batch, port, receive, the echo's reply and its way back. 2,000
   // sequential calls span about four dedup-journal compactions (one per
-  // kDedupCompactEvery replies), so the budget includes their share.
+  // kDedupCompactEvery replies), so the budget includes their share. Each
+  // request and reply is sent by a thread that has just received, so its
+  // sender delivers it (an inline drain); the test checks that, so the
+  // budget measures the path perfbench runs.
   constexpr int kWarmup = 600;
   constexpr int kCalls = 2000;
   constexpr double kBudgetPerCall = 60;
+  constexpr double kMinInlineShare = 0.99;
 
   SystemConfig config;
   config.seed = 7;
@@ -205,8 +222,10 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsBounded) {
 
   int failed = 0;
   uint64_t start = 0;
+  uint64_t inline_before = 0;
   for (int i = 0; i < kWarmup + kCalls; ++i) {
     if (i == kWarmup) {
+      inline_before = InlineDrains(system.metrics());
       start = alloc_test::Allocations();
       alloc_test::SetProcessCounting(true);
     }
@@ -221,11 +240,22 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsBounded) {
   alloc_test::SetProcessCounting(false);
   const double per_call =
       static_cast<double>(alloc_test::Allocations() - start) / kCalls;
+  // One single-packet message each way per call, so one drain per message.
+  const double inline_share =
+      static_cast<double>(InlineDrains(system.metrics()) - inline_before) /
+      (2.0 * kCalls);
+
+  // Readable with --gtest_output=xml.
+  RecordProperty("allocations_per_call", std::to_string(per_call));
+  RecordProperty("inline_share", std::to_string(inline_share));
 
   EXPECT_EQ(failed, 0);
   EXPECT_LE(per_call, kBudgetPerCall)
       << "a RemoteCall round trip allocated " << per_call
       << " times per call; the budget is " << kBudgetPerCall;
+  EXPECT_GE(inline_share, kMinInlineShare)
+      << "only " << inline_share
+      << " of the counted messages were delivered by their sender";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,11 +44,11 @@ TEST(FlowControllerTest, WindowHalvesOnNackAndGrowsOnCredit) {
   const PortName p = P(2, 5, 0);
 
   EXPECT_DOUBLE_EQ(fc.WindowFor(p), 8.0);
-  fc.OnFullNack(p, 16, 16);
+  fc.OnFullNack(p, 16, 16, 0);
   EXPECT_DOUBLE_EQ(fc.WindowFor(p), 4.0);  // multiplicative decrease
-  fc.OnFullNack(p, 16, 16);
-  fc.OnFullNack(p, 16, 16);
-  fc.OnFullNack(p, 16, 16);
+  fc.OnFullNack(p, 16, 16, 0);
+  fc.OnFullNack(p, 16, 16, 0);
+  fc.OnFullNack(p, 16, 16, 0);
   EXPECT_DOUBLE_EQ(fc.WindowFor(p), 1.0);  // floored at min_window
 
   fc.OnCredit(p, 0, 16);
@@ -113,7 +114,7 @@ TEST(FlowControllerTest, CongestedHoldClosesThenReopens) {
   const PortName p = P(2, 1, 0);
 
   // A full nack closes the destination even though the window has room.
-  fc.OnFullNack(p, 4, 4);
+  fc.OnFullNack(p, 4, 4, 0);
   EXPECT_EQ(fc.InFlightFor(p), 0u);
   FlowSlot during_hold = fc.Acquire(p, Deadline(Millis(5)));
   EXPECT_FALSE(during_hold.ok());
@@ -125,7 +126,7 @@ TEST(FlowControllerTest, CongestedHoldClosesThenReopens) {
   after_credit.Release();
 
   // With no credit, the hold simply elapses.
-  fc.OnFullNack(p, 4, 4);
+  fc.OnFullNack(p, 4, 4, 0);
   const TimePoint start = Now();
   FlowSlot after_hold = fc.Acquire(p, Deadline(Millis(5000)));
   EXPECT_TRUE(after_hold.ok());
@@ -140,7 +141,7 @@ TEST(FlowControllerTest, DisabledControllerGrantsWithoutAccounting) {
   FlowSlot s = fc.Acquire(p, Deadline(Micros(0)));
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(fc.InFlightFor(p), 0u);
-  fc.OnFullNack(p, 4, 4);
+  fc.OnFullNack(p, 4, 4, 0);
   EXPECT_DOUBLE_EQ(fc.WindowFor(p), config.initial_window);  // inert
 }
 
@@ -267,6 +268,37 @@ TEST(FlowSystemTest, ReliableSendRidesNacksWithoutBlindBackoff) {
       system.metrics().histogram("sendprims.reliable.backoff_us")->count(),
       0u);
   EXPECT_EQ(result->total_backoff.count(), 0);
+}
+
+// The flow.nack trace point (DESIGN.md §11) lands in the shed message's
+// trace. The nack is applied on the sender's delivery path, a thread with
+// no current trace of its own, so the point used to be dropped.
+TEST(FlowSystemTest, FullNackIsRecordedInTheShedMessagesTrace) {
+  SystemConfig config;
+  config.seed = 31;
+  config.default_link.latency = Micros(50);
+  System system(config);
+  NodeRuntime& a = system.AddNode("a");
+  NodeRuntime& b = system.AddNode("b");
+  for (auto* node : {&a, &b}) {
+    node->RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  }
+  Guardian* sender = *a.Create<ShellGuardian>("shell", "sender", {});
+  Guardian* receiver = *b.Create<ShellGuardian>("shell", "receiver", {});
+  Port* target = receiver->AddPort(FlowPortType(), /*capacity=*/1);
+  ASSERT_TRUE(sender->Send(target->name(), "put", {Value::Str("fill")}).ok());
+  system.network().DrainForTesting();
+
+  // A tracked send to the full port: shed, and nacked back to its ack port.
+  SetCurrentTraceId(0);  // the send starts its own trace
+  Status st =
+      SyncSend(*sender, target->name(), "put", {Value::Str("x")}, Millis(2000));
+  ASSERT_EQ(st.code(), Code::kPortFull) << st;
+  const uint64_t trace_id = CurrentTraceId();
+  ASSERT_NE(trace_id, 0u);
+  system.network().DrainForTesting();
+  const std::string dump = system.traces().DumpTrace(trace_id);
+  EXPECT_NE(dump.find("flow.nack"), std::string::npos) << dump;
 }
 
 // A system failure(...) is not a good reply: RemoteCall's last attempt

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -368,37 +369,294 @@ TEST(NetworkTest, CorruptedFragmentDoesNotBleedIntoSiblings) {
   EXPECT_EQ(bad, 1);
 }
 
+// Sum of one per-shard counter, net.shard.<k>.<suffix>, over every shard.
+uint64_t ShardSum(const MetricsRegistry& metrics, const std::string& suffix) {
+  uint64_t total = 0;
+  for (const auto& [name, value] : metrics.CountersWithPrefix("net.shard.")) {
+    if (name.ends_with(suffix)) {
+      total += value;
+    }
+  }
+  return total;
+}
+
+// Busy work standing in for a sink's delivery cost: a dependent chain the
+// compiler cannot drop, since the caller keeps the result.
+uint64_t SinkWork(uint64_t seed, int steps) {
+  uint64_t x = seed;
+  for (int i = 0; i < steps; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+  }
+  return x;
+}
+
 TEST(NetworkTest, DuplicateCountsBitIdenticalAcrossShardCounts) {
   // Loss, duplication, and corruption are all decided at Send() under one
   // lock and one rng: for a fixed seed the counts must not depend on how
-  // many delivery workers drain the heaps.
+  // many delivery workers drain the heaps, nor on whether the sending
+  // thread drains them itself (the zero-latency input, delivery requested).
   constexpr uint64_t kSeed = 1979;
   constexpr int kPackets = 400;
-  std::vector<NetworkStats> runs;
-  for (size_t shards : {1u, 2u, 4u}) {
-    Network network(kSeed, nullptr, nullptr, shards);
-    const NodeId a = network.AddNode("a");
-    const NodeId b = network.AddNode("b");
-    network.SetSink(b, [](Packet&&) {});
-    network.SetDefaultLink(
-        LinkParams{Micros(10), Micros(5), 0.2, 0.1, 0, 0.25});
-    for (int i = 0; i < kPackets; ++i) {
-      network.Send(MakePacket(a, b, i));
+  struct Input {
+    LinkParams link;
+    bool deliver_inline;
+  };
+  for (const Input& input :
+       {Input{LinkParams{Micros(10), Micros(5), 0.2, 0.1, 0, 0.25}, false},
+        Input{LinkParams{Micros(0), Micros(0), 0.2, 0.1, 0, 0.25}, true}}) {
+    std::vector<NetworkStats> runs;
+    for (size_t shards : {1u, 2u, 4u}) {
+      MetricsRegistry metrics;
+      Network network(kSeed, &metrics, nullptr, shards);
+      const NodeId a = network.AddNode("a");
+      const NodeId b = network.AddNode("b");
+      network.SetSink(b, [](Packet&&) {});
+      network.SetDefaultLink(input.link);
+      for (int i = 0; i < kPackets; ++i) {
+        network.Send(MakePacket(a, b, i), input.deliver_inline);
+      }
+      network.DrainForTesting();
+      runs.push_back(network.stats());
+      if (input.deliver_inline) {
+        // Every surviving message went inline: this thread is the only
+        // sender, so it always finds the shard idle.
+        EXPECT_EQ(ShardSum(metrics, ".batch.inline"),
+                  ShardSum(metrics, ".batch.drains"));
+        EXPECT_GT(ShardSum(metrics, ".batch.inline"), 0u);
+      } else {
+        EXPECT_EQ(ShardSum(metrics, ".batch.inline"), 0u);
+      }
+    }
+    ASSERT_EQ(runs.size(), 3u);
+    for (size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].packets_duplicated, runs[0].packets_duplicated)
+          << "shard count changed the duplicate count";
+      EXPECT_EQ(runs[i].packets_dropped, runs[0].packets_dropped);
+      EXPECT_EQ(runs[i].packets_corrupted, runs[0].packets_corrupted);
+      EXPECT_EQ(runs[i].packets_delivered, runs[0].packets_delivered);
+      EXPECT_EQ(runs[i].packets_delivered + runs[i].packets_dropped,
+                runs[i].packets_sent + runs[i].packets_duplicated);
+    }
+    EXPECT_GT(runs[0].packets_duplicated, 0u);
+  }
+}
+
+// --- The drain token: who delivers -------------------------------------------
+
+TEST(NetworkTest, RequestedDeliveryOfADueMessageRunsOnTheSendingThread) {
+  MetricsRegistry metrics;
+  Network network(5, &metrics, nullptr, /*shards=*/2);
+  const NodeId a = network.AddNode("a");
+  const NodeId b = network.AddNode("b");  // shard (b - 1) % 2 == 1
+  std::mutex mu;
+  std::vector<std::thread::id> sink_threads;
+  std::vector<uint64_t> got;
+  network.SetBatchSink(b, [&](std::vector<Packet>&& packets) {
+    std::lock_guard<std::mutex> lock(mu);
+    sink_threads.push_back(std::this_thread::get_id());
+    for (const Packet& p : packets) {
+      got.push_back(p.msg_id);
+    }
+  });
+  network.SetDefaultLink(LinkParams{Micros(0), Micros(0), 0, 0, 0});
+  const std::thread::id self = std::this_thread::get_id();
+
+  // Requested and due: delivered before Send returns, on this thread, all
+  // of a message's packets in one sink call.
+  network.Send(MakePacket(a, b, 1), /*deliver_inline=*/true);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(got, (std::vector<uint64_t>{1}));
+    EXPECT_EQ(sink_threads, (std::vector<std::thread::id>{self}));
+  }
+  std::vector<Packet> message;
+  for (uint64_t id : {2, 3, 4}) {
+    message.push_back(MakePacket(a, b, id));
+  }
+  network.Send(message, /*deliver_inline=*/true);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(got, (std::vector<uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(sink_threads, (std::vector<std::thread::id>{self, self}));
+  }
+  EXPECT_EQ(metrics.CounterValue("net.shard.1.batch.inline"), 2u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.1.batch.drains"), 2u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.1.batch.packets"), 4u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.1.enqueued"), 4u);
+
+  // Not requested: the worker delivers.
+  network.Send(MakePacket(a, b, 5));
+  network.DrainForTesting();
+  // Requested, but not due yet (latency > 0): the worker delivers.
+  network.SetDefaultLink(LinkParams{Micros(300), Micros(0), 0, 0, 0});
+  network.Send(MakePacket(a, b, 6), /*deliver_inline=*/true);
+  network.DrainForTesting();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(got, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
+    ASSERT_EQ(sink_threads.size(), 4u);
+    EXPECT_NE(sink_threads[2], self);
+    EXPECT_NE(sink_threads[3], self);
+  }
+  EXPECT_EQ(metrics.CounterValue("net.shard.1.batch.inline"), 2u);
+  EXPECT_EQ(metrics.CounterValue("net.shard.1.batch.drains"), 4u);
+  EXPECT_EQ(network.stats().packets_delivered, 6u);
+}
+
+TEST(NetworkTest, InlineSendersAndTheWorkerNeverOverlapASink) {
+  // The worker drains a backlog for b while four threads send to b. In the
+  // first round each sender goes in bursts, waiting for a burst to arrive
+  // before the next, so the shard keeps turning idle and busy; the second
+  // message of every burst asks for no inline delivery (the worker takes
+  // it) and the others ask for it, so each sender's stream mixes both kinds
+  // of drain. In the second round every message asks for inline delivery
+  // and nobody waits. b's sink must never be entered twice at once, and
+  // each sender's messages must arrive in its send order.
+  constexpr int kSenders = 4;
+  constexpr uint64_t kPerRound = 600;
+  constexpr uint64_t kBurst = 4;
+  constexpr uint64_t kBacklog = 1000;
+  MetricsRegistry metrics;
+  Network network(9, &metrics, nullptr, /*shards=*/2);
+  std::vector<NodeId> senders;
+  for (int s = 0; s <= kSenders; ++s) {
+    senders.push_back(network.AddNode("s" + std::to_string(s)));
+  }
+  const NodeId b = network.AddNode("b");
+  std::atomic<bool> in_sink{false};
+  std::atomic<bool> overlapped{false};
+  std::atomic<bool> out_of_order{false};
+  std::atomic<uint64_t> work{0};
+  std::mutex mu;
+  std::vector<uint64_t> next(kSenders + 1, 0);  // per sender; guarded by mu
+  std::vector<std::atomic<uint64_t>> arrived(kSenders + 1);
+  network.SetBatchSink(b, [&](std::vector<Packet>&& packets) {
+    if (in_sink.exchange(true)) {
+      overlapped = true;
+    }
+    for (const Packet& p : packets) {
+      // Some work per packet, so drains overlap in time with sends.
+      work.fetch_add(SinkWork(p.msg_id, 8000) & 1);
+      const uint64_t sender = p.msg_id / 1'000'000;
+      const uint64_t seq = p.msg_id % 1'000'000;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (seq != next[sender]) {
+          out_of_order = true;
+        }
+        next[sender] = seq + 1;
+      }
+      arrived[sender].fetch_add(1);
+    }
+    in_sink = false;
+  });
+  network.SetDefaultLink(LinkParams{Micros(0), Micros(0), 0, 0, 0});
+  for (uint64_t i = 0; i < kBacklog; ++i) {
+    network.Send(MakePacket(senders[0], b, i));  // heaped for the worker
+  }
+  for (const bool paced : {true, false}) {
+    std::vector<std::thread> threads;
+    for (int s = 1; s <= kSenders; ++s) {
+      threads.emplace_back([&, s] {
+        const uint64_t first = paced ? 0 : kPerRound;
+        for (uint64_t i = first; i < first + kPerRound; ++i) {
+          network.Send(MakePacket(senders[s], b, s * 1'000'000 + i),
+                       /*deliver_inline=*/!paced || i % kBurst != 1);
+          if (paced && (i + 1) % kBurst == 0) {
+            while (arrived[s].load() < i + 1) {
+              std::this_thread::yield();
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
     }
     network.DrainForTesting();
-    runs.push_back(network.stats());
   }
-  ASSERT_EQ(runs.size(), 3u);
-  for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].packets_duplicated, runs[0].packets_duplicated)
-        << "shard count changed the duplicate count";
-    EXPECT_EQ(runs[i].packets_dropped, runs[0].packets_dropped);
-    EXPECT_EQ(runs[i].packets_corrupted, runs[0].packets_corrupted);
-    EXPECT_EQ(runs[i].packets_delivered, runs[0].packets_delivered);
-    EXPECT_EQ(runs[i].packets_delivered + runs[i].packets_dropped,
-              runs[i].packets_sent + runs[i].packets_duplicated);
+  EXPECT_FALSE(overlapped.load()) << "b's sink ran concurrently with itself";
+  EXPECT_FALSE(out_of_order.load()) << "a sender's messages were reordered";
+  EXPECT_EQ(network.stats().packets_delivered,
+            kBacklog + 2 * kSenders * kPerRound);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(next[0], kBacklog);
+    for (int s = 1; s <= kSenders; ++s) {
+      EXPECT_EQ(next[s], 2 * kPerRound);
+    }
   }
-  EXPECT_GT(runs[0].packets_duplicated, 0u);
+  // Both kinds of drain ran.
+  const uint64_t inline_drains = ShardSum(metrics, ".batch.inline");
+  EXPECT_GT(inline_drains, 0u);
+  EXPECT_GT(ShardSum(metrics, ".batch.drains"), inline_drains);
+}
+
+TEST(NetworkTest, NoSinkRunsAfterShutdownReturnsWhileSendersDrainInline) {
+  // Shutdown races four senders, one per destination and shard: three ask
+  // for inline delivery, one leaves its packets to its shard's worker. One
+  // inline sink is held open while Shutdown runs (until Shutdown returns,
+  // or 200 ms): Shutdown must wait it out, and no sender may start a drain
+  // once Shutdown has begun.
+  Network network(13, nullptr, nullptr, /*shards=*/4);
+  const NodeId a = network.AddNode("a");
+  std::vector<NodeId> dsts;
+  for (int s = 0; s < 4; ++s) {
+    dsts.push_back(network.AddNode("d" + std::to_string(s)));
+  }
+  std::atomic<bool> shut_down{false};
+  std::atomic<bool> hold_next{false};
+  std::atomic<bool> holding{false};
+  std::atomic<uint64_t> ran_after{0};
+  std::atomic<uint64_t> delivered{0};
+  auto count = [&] {
+    delivered.fetch_add(1);
+    // Checked on the way out: a sink still running when Shutdown returned
+    // sees the flag.
+    if (shut_down.load()) {
+      ran_after.fetch_add(1);
+    }
+  };
+  auto inline_sink = [&](Packet&&) {
+    if (hold_next.exchange(false)) {
+      holding = true;
+      const Deadline hold(Millis(200));
+      while (!shut_down.load() && !hold.Expired()) {
+        std::this_thread::yield();
+      }
+    }
+    count();
+  };
+  for (int s = 0; s < 3; ++s) {
+    network.SetSink(dsts[s], inline_sink);
+  }
+  network.SetSink(dsts[3], [&](Packet&&) { count(); });
+  network.SetDefaultLink(LinkParams{Micros(0), Micros(0), 0, 0, 0});
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < 4; ++s) {
+    threads.emplace_back([&, s] {
+      for (uint64_t i = 0; !stop.load(); ++i) {
+        network.Send(MakePacket(a, dsts[s], i), /*deliver_inline=*/s != 3);
+      }
+    });
+  }
+  while (delivered.load() < 200) {
+    std::this_thread::yield();
+  }
+  hold_next = true;
+  while (!holding.load()) {
+    std::this_thread::yield();
+  }
+  network.Shutdown();
+  shut_down = true;
+  std::this_thread::sleep_for(Millis(5));  // senders keep sending meanwhile
+  stop = true;
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(ran_after.load(), 0u);
+  EXPECT_TRUE(network.DrainForTesting(Millis(100)));  // returns once stopped
 }
 
 TEST(NetworkTest, MixedDestinationDrainKeepsPerDestinationOrder) {
