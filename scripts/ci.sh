@@ -37,7 +37,8 @@
 #
 # A grep lint runs before everything: src/ and tests/ must read time only
 # through the §15 ClockSource seam, never raw std::chrono clocks. The
-# tier-1 build must print no compiler warning.
+# tier-1 build must print no compiler warning, and neither must an -O3
+# (release preset) build of every src/ library.
 #
 # The chaos stage runs the deterministic chaos harness (bench_chaos: three
 # pinned seeds of composed faults — partitions, one-way cuts, campus cuts,
@@ -116,6 +117,23 @@ if grep -q "warning:" build/tier1_build.log; then
   exit 1
 fi
 echo "tier-1 build ok: no compiler warnings"
+
+echo "==> release: -O3 build of every src/ library (preset: release)"
+# perfbench compiles src/ at -O3 (Release). There GCC's flow-sensitive
+# warnings (-Wrestrict, -Warray-bounds) see inlined code that the -O2
+# tier-1 build never shows them, so the src/ libraries are built at that
+# level too, under the same no-warning rule.
+cmake --preset release
+SRC_LIBS="$(sed -n 's/^add_library(\([A-Za-z0-9_]*\).*/\1/p' src/*/CMakeLists.txt)"
+# shellcheck disable=SC2086  # one target per word
+cmake --build --preset release -j "$JOBS" --target $SRC_LIBS 2>&1 \
+  | tee build-release/release_build.log
+if grep -q "warning:" build-release/release_build.log; then
+  echo "release build FAIL: compiler warnings:" >&2
+  grep "warning:" build-release/release_build.log | sort -u >&2
+  exit 1
+fi
+echo "release build ok: no compiler warnings in src/ at -O3"
 
 echo "==> tier-1: ctest (full suite)"
 ctest --preset default -j "$JOBS"

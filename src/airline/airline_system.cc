@@ -29,7 +29,7 @@ Result<AirlineTopology> BuildAirline(System& system,
     GUARDIANS_ASSIGN_OR_RETURN(
         RegionalManager * regional,
         node.Create<RegionalManager>(RegionalManager::kTypeName,
-                                     "P" + std::to_string(r),
+                                     std::string("P").append(std::to_string(r)),
                                      regional_config.ToArgs(),
                                      /*persistent=*/params.logging));
     topology.region_nodes.push_back(node.id());
@@ -48,7 +48,7 @@ Result<AirlineTopology> BuildAirline(System& system,
     GUARDIANS_ASSIGN_OR_RETURN(
         UserGuardian * user,
         node.Create<UserGuardian>(UserGuardian::kTypeName,
-                                  "U" + std::to_string(r),
+                                  std::string("U").append(std::to_string(r)),
                                   user_config.ToArgs(),
                                   /*persistent=*/false));
     topology.users.push_back(user);

@@ -140,12 +140,14 @@ void DriveWorkload(CrashWorld& world, const ExplorerConfig& config,
       }
     }
     if (i % 4 == 3) {
-      const std::string passenger = "p" + std::to_string(i - 1);
+      const std::string passenger =
+          std::string("p").append(std::to_string(i - 1));
       const std::string date = kDates[(i - 1) % kNumDates];
       track(kFlight1, passenger, date,
             call(world.f1_port, "cancel", passenger, date));
     } else {
-      const std::string passenger = "p" + std::to_string(i);
+      const std::string passenger =
+          std::string("p").append(std::to_string(i));
       const std::string date = kDates[i % kNumDates];
       track(kFlight1, passenger, date,
             call(world.f1_port, "reserve", passenger, date));

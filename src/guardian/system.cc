@@ -182,8 +182,10 @@ std::string System::Report() {
     out += node->Report();
   }
   out += metrics_.Report();
-  out += "traces: " + std::to_string(traces_.trace_count()) + " held, " +
-         std::to_string(traces_.evicted_traces()) + " evicted\n";
+  out += "traces: " + std::to_string(traces_.trace_count()) +
+         " held in a ring of " + std::to_string(TraceBuffer::kCapacity) +
+         " events, " + std::to_string(traces_.overwritten_events()) +
+         " events overwritten\n";
   return out;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <iterator>
+#include <string_view>
 
 #include "src/common/log.h"
 
@@ -15,6 +17,35 @@ namespace {
 constexpr const char* kDropPoints[] = {
     "net.drop.src_down", "net.drop.partition", "net.drop.partition_oneway",
     "net.drop.loss",     "net.drop.dst_down",  "net.drop.holdback_shutdown",
+};
+
+// "n<src>->n<dst> frag <i>/<n>", the detail of a network trace event,
+// formatted on the stack: the trace ring copies it only when it records.
+class HopDetail {
+ public:
+  explicit HopDetail(const Packet& packet) {
+    Put("n");
+    Put(packet.src);
+    Put("->n");
+    Put(packet.dst);
+    Put(" frag ");
+    Put(packet.frag_index + 1);
+    Put("/");
+    Put(packet.frag_count);
+  }
+  std::string_view view() const { return {buf_, size_}; }
+
+ private:
+  void Put(std::string_view text) {
+    size_ += text.copy(buf_ + size_, sizeof(buf_) - size_);
+  }
+  void Put(uint32_t value) {
+    size_ = static_cast<size_t>(
+        std::to_chars(buf_ + size_, buf_ + sizeof(buf_), value).ptr - buf_);
+  }
+
+  char buf_[64];  // four uint32s (10 digits each) and 11 bytes of text
+  size_t size_ = 0;
 };
 
 // Set while this thread runs a drain (a worker's or its own inline one):
@@ -285,8 +316,7 @@ void Network::DecideLocked(Packet&& packet, TimePoint now,
     link_counters.corrupted->Inc();
     if (traces_ != nullptr) {
       traces_->Record(packet.trace_id, 0, "net.corrupted",
-                      "n" + std::to_string(packet.src) + "->n" +
-                          std::to_string(packet.dst));
+                      HopDetail(packet).view());
     }
   }
 
@@ -320,10 +350,7 @@ void Network::DecideLocked(Packet&& packet, TimePoint now,
     link_counters.duplicated->Inc();
     if (traces_ != nullptr) {
       traces_->Record(packet.trace_id, 0, "net.duplicated",
-                      "n" + std::to_string(packet.src) + "->n" +
-                          std::to_string(packet.dst) + " frag " +
-                          std::to_string(packet.frag_index + 1) + "/" +
-                          std::to_string(packet.frag_count));
+                      HopDetail(packet).view());
     }
     InFlight& copy = out.emplace_back();
     copy.sent_at = now;
@@ -537,10 +564,7 @@ void Network::CountDrop(const Packet& packet, DropReason reason) {
   if (traces_ != nullptr) {
     traces_->Record(packet.trace_id, 0,
                     kDropPoints[static_cast<size_t>(reason)],
-                    "n" + std::to_string(packet.src) + "->n" +
-                        std::to_string(packet.dst) + " frag " +
-                        std::to_string(packet.frag_index + 1) + "/" +
-                        std::to_string(packet.frag_count));
+                    HopDetail(packet).view());
   }
 }
 

@@ -1,7 +1,11 @@
 #include "src/obs/trace.h"
 
-#include <algorithm>
+#include <sys/mman.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <unordered_set>
 
 namespace guardians {
 
@@ -16,54 +20,120 @@ void SetCurrentTraceId(uint64_t id) { t_current_trace_id = id; }
 TimePoint CurrentDeadlineAt() { return t_current_deadline_at; }
 void SetCurrentDeadlineAt(TimePoint at) { t_current_deadline_at = at; }
 
-TraceBuffer::TraceBuffer(size_t max_traces, size_t max_events_per_trace)
-    : max_traces_(max_traces), max_events_per_trace_(max_events_per_trace) {}
+TraceBuffer::TraceBuffer() {
+  // Anonymous pages read as zero (every slot empty) and cost nothing until
+  // the first event lands on them.
+  void* pages = mmap(nullptr, kCapacity * sizeof(Slot), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) {
+    std::perror("TraceBuffer: mmap");
+    std::abort();
+  }
+  slots_ = static_cast<Slot*>(pages);
+}
 
-void TraceBuffer::Record(uint64_t trace_id, uint32_t node, std::string point,
-                         std::string detail) {
+TraceBuffer::~TraceBuffer() { munmap(slots_, kCapacity * sizeof(Slot)); }
+
+void TraceBuffer::Record(uint64_t trace_id, uint32_t node, const char* point,
+                         std::string_view detail) {
   if (trace_id == 0) {
     return;
   }
-  TraceEvent event;
-  event.at = Now();
-  event.node = node;
-  event.point = std::move(point);
-  event.detail = std::move(detail);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = traces_.find(trace_id);
-  if (it == traces_.end()) {
-    while (traces_.size() >= max_traces_ && !order_.empty()) {
-      traces_.erase(order_.front());
-      order_.pop_front();
-      ++evicted_;
+  const int64_t at = Now().time_since_epoch().count();
+  const uint64_t index = head_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = slots_[index % kCapacity];
+  std::atomic_ref<uint64_t> seq(slot.seq);
+  // Take the slot from its previous event. A writer a whole lap behind
+  // (stalled between its fetch_add and here) either still holds the slot,
+  // or finds a newer event in it: one of the two events is dropped, never
+  // mixed. Acquire orders this write after the previous event's.
+  uint64_t seen = seq.load(std::memory_order_relaxed);
+  do {
+    if ((seen & 1) != 0 || seen > Writing(index)) {
+      return;
     }
-    it = traces_.emplace(trace_id, Trace{}).first;
-    order_.push_back(trace_id);
+  } while (!seq.compare_exchange_weak(seen, Writing(index),
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed));
+  // Release stores (plain stores on x86): a reader that sees any of these
+  // values also sees the slot marked as being written.
+  std::atomic_ref<int64_t>(slot.at).store(at, std::memory_order_release);
+  std::atomic_ref<uint64_t>(slot.trace_id)
+      .store(trace_id, std::memory_order_release);
+  std::atomic_ref<const char*>(slot.point)
+      .store(point, std::memory_order_release);
+  std::atomic_ref<uint32_t>(slot.node).store(node, std::memory_order_release);
+  if (!detail.empty()) {
+    std::lock_guard<std::mutex> lock(details_mu_);
+    // Details of overwritten events go with them.
+    while (!details_.empty() && details_.begin()->first + kCapacity <= index) {
+      details_.erase(details_.begin());
+    }
+    details_.emplace(index, detail);
   }
-  Trace& trace = it->second;
-  if (trace.events.size() >= max_events_per_trace_) {
-    ++trace.suppressed;
-    ++suppressed_;
-    return;
+  seq.store(Published(index), std::memory_order_release);
+}
+
+bool TraceBuffer::ReadSlot(uint64_t index, Held* out) const {
+  Slot& slot = slots_[index % kCapacity];
+  std::atomic_ref<uint64_t> seq(slot.seq);
+  if (seq.load(std::memory_order_acquire) != Published(index)) {
+    return false;  // empty, being written, or already overwritten
   }
-  trace.events.push_back(std::move(event));
+  out->index = index;
+  out->trace_id =
+      std::atomic_ref<uint64_t>(slot.trace_id).load(std::memory_order_acquire);
+  out->event.at = TimePoint(Clock::duration(
+      std::atomic_ref<int64_t>(slot.at).load(std::memory_order_acquire)));
+  out->event.node =
+      std::atomic_ref<uint32_t>(slot.node).load(std::memory_order_acquire);
+  out->event.point = std::atomic_ref<const char*>(slot.point)
+                         .load(std::memory_order_acquire);
+  // Whole only if no writer took the slot while the fields were read.
+  return seq.load(std::memory_order_relaxed) == Published(index);
+}
+
+template <typename Visit>
+void TraceBuffer::Scan(Visit visit) const {
+  const uint64_t end = head_.load(std::memory_order_acquire);
+  const uint64_t begin = end > kCapacity ? end - kCapacity : 0;
+  Held held;
+  for (uint64_t index = begin; index < end; ++index) {
+    if (ReadSlot(index, &held) && !visit(held)) {
+      return;
+    }
+  }
+}
+
+std::string TraceBuffer::DetailOf(uint64_t index) const {
+  std::lock_guard<std::mutex> lock(details_mu_);
+  auto it = details_.find(index);
+  return it != details_.end() ? it->second : std::string();
+}
+
+std::vector<TraceEvent> TraceBuffer::Events(uint64_t trace_id) const {
+  std::vector<TraceEvent> events;
+  Scan([&](const Held& held) {
+    if (held.trace_id == trace_id) {
+      events.push_back(held.event);
+      events.back().detail = DetailOf(held.index);
+    }
+    return true;
+  });
+  return events;
 }
 
 std::string TraceBuffer::DumpTrace(uint64_t trace_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<TraceEvent> events = Events(trace_id);
   std::ostringstream os;
   os << "trace " << trace_id << ":";
-  auto it = traces_.find(trace_id);
-  if (it == traces_.end()) {
+  if (events.empty()) {
     os << " (not recorded)\n";
     return os.str();
   }
   os << "\n";
-  const Trace& trace = it->second;
-  const TimePoint t0 =
-      trace.events.empty() ? TimePoint{} : trace.events.front().at;
-  for (const TraceEvent& event : trace.events) {
+  const TimePoint t0 = events.front().at;
+  for (const TraceEvent& event : events) {
     os << "  +" << ToMicros(event.at - t0) << "us";
     if (event.node != 0) {
       os << "  n" << event.node;
@@ -76,61 +146,46 @@ std::string TraceBuffer::DumpTrace(uint64_t trace_id) const {
     }
     os << "\n";
   }
-  if (trace.suppressed > 0) {
-    os << "  (+" << trace.suppressed << " events beyond buffer bound)\n";
+  if (const uint64_t overwritten = overwritten_events(); overwritten > 0) {
+    os << "  (the ring has overwritten its " << overwritten
+       << " oldest events; earlier hops of this trace may be among them)\n";
   }
   return os.str();
 }
 
 bool TraceBuffer::HasTrace(uint64_t trace_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return traces_.count(trace_id) > 0;
-}
-
-std::vector<TraceEvent> TraceBuffer::Events(uint64_t trace_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = traces_.find(trace_id);
-  return it != traces_.end() ? it->second.events : std::vector<TraceEvent>{};
+  bool found = false;
+  Scan([&](const Held& held) {
+    found = held.trace_id == trace_id;
+    return !found;
+  });
+  return found;
 }
 
 std::optional<uint64_t> TraceBuffer::FindTraceWithPoint(
-    const std::string& point_prefix) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    auto found = traces_.find(*it);
-    if (found == traces_.end()) {
-      continue;
+    std::string_view point_prefix) const {
+  std::optional<uint64_t> newest;
+  Scan([&](const Held& held) {
+    if (held.event.point.starts_with(point_prefix)) {
+      newest = held.trace_id;
     }
-    for (const TraceEvent& event : found->second.events) {
-      if (event.point.compare(0, point_prefix.size(), point_prefix) == 0) {
-        return *it;
-      }
-    }
-  }
-  return std::nullopt;
+    return true;
+  });
+  return newest;
 }
 
 size_t TraceBuffer::trace_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return traces_.size();
+  std::unordered_set<uint64_t> traces;
+  Scan([&](const Held& held) {
+    traces.insert(held.trace_id);
+    return true;
+  });
+  return traces.size();
 }
 
-uint64_t TraceBuffer::evicted_traces() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evicted_;
-}
-
-uint64_t TraceBuffer::suppressed_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return suppressed_;
-}
-
-void TraceBuffer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  traces_.clear();
-  order_.clear();
-  evicted_ = 0;
-  suppressed_ = 0;
+uint64_t TraceBuffer::overwritten_events() const {
+  const uint64_t end = head_.load(std::memory_order_relaxed);
+  return end > kCapacity ? end - kCapacity : 0;
 }
 
 }  // namespace guardians

@@ -41,6 +41,8 @@ class Serializer {
 
   uint64_t executed() const;
   uint64_t max_queue_depth() const;
+  // Times a worker woke and found nothing it could run.
+  uint64_t idle_wakeups() const;
 
  private:
   struct Request {
@@ -49,8 +51,9 @@ class Serializer {
   };
 
   void WorkerLoop();
-  // Pops the first runnable request (whose key is not busy) under mu_.
-  bool PopRunnable(Request& out);
+  // Pops the first runnable request (whose key is not busy) under mu_, and
+  // sets *more_runnable when another request could run beside it.
+  bool PopRunnable(Request& out, bool* more_runnable);
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait for runnable requests
@@ -61,6 +64,7 @@ class Serializer {
   bool stopping_ = false;
   uint64_t executed_ = 0;
   uint64_t max_queue_depth_ = 0;
+  uint64_t idle_wakeups_ = 0;
   ProcessGroup workers_;
 };
 

@@ -1,5 +1,7 @@
 #include "src/store/wal.h"
 
+#include <algorithm>
+
 #include "src/fault/crashpoint.h"
 #include "src/wire/codec.h"
 #include "src/wire/crc32.h"
@@ -69,7 +71,8 @@ Status Wal::Checkpoint(const Bytes& snapshot) {
   crash_checkpoint_before.Hit();
   const uint64_t epoch = CommittedEpoch() + 1;
   Bytes snap_cell = EncodeU64Le(epoch);
-  snap_cell.insert(snap_cell.end(), snapshot.begin(), snapshot.end());
+  snap_cell.resize(8 + snapshot.size());
+  std::copy(snapshot.begin(), snapshot.end(), snap_cell.begin() + 8);
   GUARDIANS_RETURN_IF_ERROR(store_->PutCell(SnapCell(), snap_cell));
   crash_checkpoint_mid.Hit();
   Status truncated = store_->Truncate(LogStream(), 0);

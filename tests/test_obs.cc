@@ -1,10 +1,14 @@
-// Tests of the observability layer: counters and histograms, drop-reason
+// Tests of the observability layer: counters and histograms, the trace
+// ring (wrap-around, and no torn event under concurrent writers), drop-reason
 // attribution (a retired port is not a full one), trace-id propagation
 // across fragmentation and reply hops, the ReliableSend backoff, and the
 // NodeName dangling-reference regression.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,6 +101,89 @@ TEST(Trace, RecordAndDump) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, 7u);
   EXPECT_FALSE(traces.FindTraceWithPoint("port.drop.").has_value());
+}
+
+TEST(Trace, WrappingOverwritesTheOldestEvents) {
+  // capacity + k events, one trace each: the first k are gone, and so is
+  // the side-table detail of an overwritten event.
+  constexpr uint64_t kExtra = 5;
+  TraceBuffer traces;
+  for (uint64_t i = 0; i < TraceBuffer::kCapacity + kExtra; ++i) {
+    traces.Record(/*trace_id=*/i + 1, /*node=*/1, "hop",
+                  i < 2 * kExtra ? "early" : "");
+  }
+  EXPECT_EQ(traces.overwritten_events(), kExtra);
+  for (uint64_t id = 1; id <= kExtra; ++id) {
+    EXPECT_FALSE(traces.HasTrace(id)) << "trace " << id;
+  }
+  EXPECT_TRUE(traces.HasTrace(kExtra + 1));
+  EXPECT_TRUE(traces.HasTrace(TraceBuffer::kCapacity + kExtra));
+  EXPECT_EQ(traces.trace_count(), TraceBuffer::kCapacity);
+  const std::vector<TraceEvent> oldest = traces.Events(kExtra + 1);
+  ASSERT_EQ(oldest.size(), 1u);
+  EXPECT_EQ(oldest[0].point, "hop");
+  EXPECT_EQ(oldest[0].detail, "early");
+  const std::string dump = traces.DumpTrace(kExtra + 1);
+  EXPECT_NE(dump.find("hop  early"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("overwritten"), std::string::npos) << dump;
+  EXPECT_NE(traces.DumpTrace(1).find("not recorded"), std::string::npos);
+}
+
+TEST(Trace, ConcurrentWritersNeverYieldATornEvent) {
+  // Node and point are functions of the trace id, so an event whose fields
+  // came from two writes shows as a mismatch.
+  constexpr int kWriters = 4;
+  constexpr uint64_t kEventsPerWriter = 20000;
+  static constexpr const char* kPoints[] = {"ring.a", "ring.b", "ring.c",
+                                            "ring.d"};
+  auto node_of = [](uint64_t id) {
+    return static_cast<uint32_t>(id % 997) + 1;
+  };
+  auto point_of = [](uint64_t id) {
+    return std::string_view(kPoints[(id >> 1) % 4]);
+  };
+  TraceBuffer traces;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kEventsPerWriter; ++i) {
+        // Two events per trace; no two writers share a trace id.
+        const uint64_t id = (static_cast<uint64_t>(w + 1) << 32) | (i / 2 + 1);
+        traces.Record(id, node_of(id), kPoints[(id >> 1) % 4]);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t events_read = 0;
+  int torn = 0;
+  bool last_pass = false;
+  while (!last_pass) {
+    last_pass = running.load() == 0;  // one more pass after the writers
+    for (const char* point : kPoints) {
+      const std::optional<uint64_t> id = traces.FindTraceWithPoint(point);
+      if (!id.has_value()) {
+        continue;
+      }
+      torn += point_of(*id) != point;
+      for (const TraceEvent& event : traces.Events(*id)) {
+        ++events_read;
+        torn += event.node != node_of(*id) || event.point != point_of(*id);
+      }
+      const std::string dump = traces.DumpTrace(*id);
+      for (const char* other : kPoints) {
+        torn += other != point_of(*id) &&
+                dump.find(other) != std::string::npos;
+      }
+    }
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  EXPECT_EQ(torn, 0);
+  EXPECT_GT(events_read, 0u);
+  EXPECT_EQ(traces.overwritten_events(),
+            kWriters * kEventsPerWriter - TraceBuffer::kCapacity);
 }
 
 // ---------------------------------------------------------------------------

@@ -187,6 +187,42 @@ TEST(SerializerTest, QueueDepthTracked) {
   EXPECT_GE(serializer.max_queue_depth(), 10u);
 }
 
+TEST(SerializerTest, FinishingATaskWakesNoIdleWorker) {
+  // One awaited task at a time on four workers: each task needs one wake,
+  // and finishing it has nothing to hand to the three idle workers.
+  Serializer serializer(4);
+  for (int i = 0; i < 500; ++i) {
+    CountdownLatch done(1);
+    serializer.Enqueue(i % 3, [&] { done.CountDown(); });
+    ASSERT_TRUE(done.WaitFor(Millis(5000))) << "task " << i;
+  }
+  serializer.Drain();
+  EXPECT_EQ(serializer.executed(), 500u);
+  EXPECT_LE(serializer.idle_wakeups(), 5u);
+}
+
+TEST(SerializerTest, FreedKeyGoesToASleepingWorkerWhenTheFinisherTakesAnother) {
+  // Task A1 queues B (a free key) and then A2 (its own, busy key). When A1
+  // returns, its worker may take B, the earlier request, before the other
+  // worker wakes; B then waits for A2, so A2 must reach the sleeping worker.
+  Serializer serializer(2);
+  std::atomic<int> stuck{0};
+  for (int round = 0; round < 200; ++round) {
+    CountdownLatch a2_ran(1);
+    serializer.Enqueue(1, [&] {
+      serializer.Enqueue(2, [&] {
+        if (!a2_ran.WaitFor(Millis(5000))) {
+          ++stuck;
+        }
+      });
+      serializer.Enqueue(1, [&] { a2_ran.CountDown(); });
+    });
+    serializer.Drain();
+  }
+  EXPECT_EQ(stuck.load(), 0);
+  EXPECT_EQ(serializer.executed(), 600u);
+}
+
 TEST(LatchTest, CountsDownAndTimesOut) {
   CountdownLatch latch(2);
   EXPECT_FALSE(latch.WaitFor(Millis(10)));

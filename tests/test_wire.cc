@@ -6,10 +6,13 @@
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/store/stable_store.h"
+#include "src/store/wal.h"
 #include "src/transmit/complex.h"
 #include "src/transmit/registry.h"
 #include "src/wire/codec.h"
 #include "src/wire/crc32.h"
+#include "src/wire/crc32_kernels.h"
 #include "src/wire/envelope.h"
 #include "src/wire/packet.h"
 #include "src/wire/value_codec.h"
@@ -104,13 +107,6 @@ TEST(CodecTest, VarintOverflowRejected) {
 
 // --- crc32 -----------------------------------------------------------------
 
-TEST(Crc32Test, KnownVectors) {
-  // IEEE 802.3 test vector: "123456789" -> 0xCBF43926.
-  const std::string nine = "123456789";
-  EXPECT_EQ(Crc32(nine.data(), nine.size()), 0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
-}
-
 TEST(Crc32Test, DetectsSingleBitFlip) {
   Bytes data = ToBytes("permanence of effect");
   const uint32_t clean = Crc32(data);
@@ -122,14 +118,19 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
 }
 
 // The definition of the checksum: one byte at a time, one bit at a time, no
-// tables. Crc32's table-driven kernel must agree with it on every input.
+// tables. Every kernel must agree with it on every input.
+uint32_t BytewiseStep(uint32_t crc, uint8_t byte) {
+  crc ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc;
+}
+
 uint32_t BytewiseCrc32(const uint8_t* p, size_t size) {
   uint32_t crc = 0xFFFFFFFFu;
   for (size_t i = 0; i < size; ++i) {
-    crc ^= p[i];
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-    }
+    crc = BytewiseStep(crc, p[i]);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -143,20 +144,80 @@ Bytes RandomBytes(uint64_t seed, size_t size) {
   return out;
 }
 
-TEST(Crc32Test, MatchesBytewiseReferenceAtEveryShortLengthAndOffset) {
+// Crc32 runs one kernel per host, so each kernel is also tested on its own:
+// the checks below run against Crc32 itself and against every kernel the
+// host can execute.
+struct Crc32Kernel {
+  const char* name;
+  uint32_t (*fn)(const void*, size_t);
+  bool (*supported)();
+};
+
+const Crc32Kernel kCrc32Kernels[] = {
+    {"dispatch", &Crc32, [] { return true; }},
+    {"portable", &crc32_internal::PortableCrc32, [] { return true; }},
+    {"folding", &crc32_internal::FoldingCrc32,
+     &crc32_internal::FoldingSupported},
+};
+
+class Crc32KernelTest : public ::testing::TestWithParam<Crc32Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported()) {
+      GTEST_SKIP() << GetParam().name << " kernel: not supported on this CPU";
+    }
+  }
+  uint32_t Crc(const void* data, size_t size) const {
+    return GetParam().fn(data, size);
+  }
+  uint32_t Crc(const Bytes& data) const {
+    return Crc(data.data(), data.size());
+  }
+};
+
+TEST_P(Crc32KernelTest, KnownVectors) {
+  // IEEE 802.3 test vector: "123456789" -> 0xCBF43926.
+  const std::string nine = "123456789";
+  EXPECT_EQ(Crc(nine.data(), nine.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc(nullptr, 0), 0u);
+  // 64 and 1,024 bytes are folded in full by the folding kernel.
+  EXPECT_EQ(Crc(Bytes(64, 0)), 0x758D6336u);
+  EXPECT_EQ(Crc(Bytes(1024, 0xFF)), 0xB83AFFF4u);
+}
+
+TEST_P(Crc32KernelTest, MatchesBytewiseReferenceAtEveryShortLengthAndOffset) {
   // Lengths 0-64 cover the tail-only path, exactly one and several 16-byte
   // blocks, and every tail length; offsets 0-15 start the blocks unaligned.
   const Bytes buf = RandomBytes(1, 64 + 16);
   for (size_t offset = 0; offset < 16; ++offset) {
     for (size_t size = 0; size <= 64; ++size) {
-      EXPECT_EQ(Crc32(buf.data() + offset, size),
+      EXPECT_EQ(Crc(buf.data() + offset, size),
                 BytewiseCrc32(buf.data() + offset, size))
           << "offset " << offset << " size " << size;
     }
   }
 }
 
-TEST(Crc32Test, MatchesBytewiseReferenceAroundEveryBlockBoundary) {
+TEST_P(Crc32KernelTest, MatchesBytewiseReferenceAtEveryPacketLengthAndOffset) {
+  // Every length from 64 bytes to just past a full 1,024-byte packet
+  // payload, at every start offset 0-63: the folding kernel's 64-byte
+  // stride, its 16-byte blocks and its tail all start unaligned.
+  constexpr size_t kMaxSize = 1100;
+  const Bytes buf = RandomBytes(5, kMaxSize + 64);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    const uint8_t* start = buf.data() + offset;
+    uint32_t reference = 0xFFFFFFFFu;
+    for (size_t size = 1; size <= kMaxSize; ++size) {
+      reference = BytewiseStep(reference, start[size - 1]);
+      if (size >= 64) {
+        ASSERT_EQ(Crc(start, size), reference ^ 0xFFFFFFFFu)
+            << "offset " << offset << " size " << size;
+      }
+    }
+  }
+}
+
+TEST_P(Crc32KernelTest, MatchesBytewiseReferenceAroundEveryBlockBoundary) {
   // 16k-1, 16k and 16k+1 for every k up to a 9 KiB message (an 8 KiB blob
   // plus envelope), each at a start offset cycling through 0-15.
   constexpr size_t kMaxBlocks = 9 * 1024 / 16;
@@ -164,20 +225,20 @@ TEST(Crc32Test, MatchesBytewiseReferenceAroundEveryBlockBoundary) {
   for (size_t k = 1; k <= kMaxBlocks; ++k) {
     const uint8_t* start = buf.data() + k % 16;
     for (size_t size : {16 * k - 1, 16 * k, 16 * k + 1}) {
-      ASSERT_EQ(Crc32(start, size), BytewiseCrc32(start, size))
+      ASSERT_EQ(Crc(start, size), BytewiseCrc32(start, size))
           << "offset " << k % 16 << " size " << size;
     }
   }
 }
 
-TEST(Crc32Test, DetectsBurstErrorsOfUpTo32BitsIn8KiB) {
+TEST_P(Crc32KernelTest, DetectsBurstErrorsOfUpTo32BitsIn8KiB) {
   // A CRC of degree 32 detects every error burst of length <= 32. For each
   // burst length, bursts start at every bit of the first and last 64 bits
   // and at a stride through the middle; the interior bits are random, both
   // ends always flipped.
   constexpr size_t kBits = 8 * 1024 * 8;
   Bytes data = RandomBytes(3, kBits / 8);
-  const uint32_t clean = Crc32(data);
+  const uint32_t clean = Crc(data);
   std::vector<size_t> starts;
   for (size_t bit = 0; bit < kBits; ++bit) {
     if (bit < 64 || bit >= kBits - 64 || bit % 509 == 0) {
@@ -202,11 +263,41 @@ TEST(Crc32Test, DetectsBurstErrorsOfUpTo32BitsIn8KiB) {
         }
       };
       flip();
-      EXPECT_NE(Crc32(data), clean)
+      EXPECT_NE(Crc(data), clean)
           << "burst of " << len << " bits at bit " << start;
       flip();
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32KernelTest, ::testing::ValuesIn(kCrc32Kernels),
+    [](const ::testing::TestParamInfo<Crc32Kernel>& kernel) {
+      return std::string(kernel.param.name);
+    });
+
+TEST(Crc32Test, SealedPacketsAndWalFramesKeepTheirBytes) {
+  // Constants taken from the slicing-by-16 build, before the folding
+  // kernel existed: whichever kernel this host runs, the checksums on the
+  // wire and in the log are the same bits.
+  const std::vector<Packet> packets =
+      Fragment(RandomBytes(5, 3000), /*msg_id=*/1, /*src=*/1, /*dst=*/2,
+               /*max_payload=*/1024, /*trace_id=*/0, /*src_session=*/0);
+  ASSERT_EQ(packets.size(), 3u);
+  EXPECT_EQ(packets[0].crc, 0x0C24E685u);
+  EXPECT_EQ(packets[1].crc, 0xB5D8A68Eu);
+  EXPECT_EQ(packets[2].crc, 0x4FC81C39u);  // 952 bytes: folded + 8-byte tail
+
+  StableStore store;
+  Wal wal(&store, "golden");
+  const Bytes payload = RandomBytes(6, 200);
+  ASSERT_TRUE(wal.Append(payload).ok());
+  const Bytes frame = store.Read("golden.log");
+  const Bytes header = {0xC8, 0x00, 0x00, 0x00,   // length 200
+                        0x29, 0x4B, 0x4C, 0x27};  // crc32(payload)
+  ASSERT_EQ(frame.size(), header.size() + payload.size());
+  EXPECT_TRUE(std::equal(header.begin(), header.end(), frame.begin()));
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), frame.begin() + 8));
 }
 
 // --- value serialization -----------------------------------------------------
