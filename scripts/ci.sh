@@ -56,8 +56,14 @@
 # seed cost ~0.1s wall, so a hundred-seed soak is a coffee break, not an
 # overnighter; per-seed pass/fail lands in BENCH_chaos.json.
 #
+# --stress (opt-in) runs four copies of test_chaos and four of
+# test_node_runtime at once after the tier-1 suite, and fails if any copy
+# fails. The suites that decide quiescence by wall-clock quiet are the
+# ones CPU contention breaks, and spinning waits change that contention;
+# each copy's output lands in build/stress/.
+#
 # Usage: scripts/ci.sh [--skip-tsan] [--skip-bench] [--skip-chaos]
-#        [--soak N] [--asan]
+#        [--soak N] [--asan] [--stress]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +71,7 @@ SKIP_TSAN=0
 SKIP_BENCH=0
 SKIP_CHAOS=0
 RUN_ASAN=0
+RUN_STRESS=0
 SOAK=0
 EXPECT_SOAK_VALUE=0
 for arg in "$@"; do
@@ -80,6 +87,7 @@ for arg in "$@"; do
     --soak) EXPECT_SOAK_VALUE=1 ;;
     --soak=*) SOAK="${arg#--soak=}" ;;
     --asan) RUN_ASAN=1 ;;
+    --stress) RUN_STRESS=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -137,6 +145,34 @@ echo "release build ok: no compiler warnings in src/ at -O3"
 
 echo "==> tier-1: ctest (full suite)"
 ctest --preset default -j "$JOBS"
+
+if [[ "$RUN_STRESS" -eq 1 ]]; then
+  echo "==> stress: four copies each of test_chaos and test_node_runtime at once"
+  mkdir -p build/stress
+  STRESS_PIDS=()
+  STRESS_NAMES=()
+  for copy in 1 2 3 4; do
+    for suite in test_chaos test_node_runtime; do
+      "build/tests/$suite" > "build/stress/$suite.$copy.log" 2>&1 &
+      STRESS_PIDS+=("$!")
+      STRESS_NAMES+=("$suite.$copy")
+    done
+  done
+  STRESS_FAILED=0
+  for i in "${!STRESS_PIDS[@]}"; do
+    if wait "${STRESS_PIDS[$i]}"; then
+      echo "  ${STRESS_NAMES[$i]}: pass"
+    else
+      echo "  ${STRESS_NAMES[$i]}: FAIL (build/stress/${STRESS_NAMES[$i]}.log)"
+      STRESS_FAILED=$((STRESS_FAILED + 1))
+    fi
+  done
+  if [[ "$STRESS_FAILED" -gt 0 ]]; then
+    echo "stress FAIL: $STRESS_FAILED of ${#STRESS_PIDS[@]} copies failed" >&2
+    exit 1
+  fi
+  echo "stress ok: all ${#STRESS_PIDS[@]} copies passed"
+fi
 
 if [[ "$SKIP_BENCH" -eq 1 ]]; then
   echo "==> bench: skipped (--skip-bench)"

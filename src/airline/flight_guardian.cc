@@ -209,7 +209,7 @@ void FlightGuardian::MaybeCheckpoint() {
     }
     snapshot = encoded.take();
   }
-  Status cp = log_->Checkpoint(snapshot);
+  Status cp = log_->Checkpoint(std::move(snapshot));
   (void)cp;
 }
 

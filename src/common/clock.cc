@@ -24,16 +24,6 @@ bool WallClock::WaitUntil(std::condition_variable& cv,
   return cv.wait_until(lock, deadline, std::move(pred));
 }
 
-bool WallClock::WaitOnce(std::condition_variable& cv,
-                         std::unique_lock<std::mutex>& lock,
-                         TimePoint deadline) const {
-  if (deadline == TimePoint::max()) {
-    cv.wait(lock);
-    return false;
-  }
-  return cv.wait_until(lock, deadline) == std::cv_status::timeout;
-}
-
 // ----------------------------------------------------------- SimNodeClock
 
 namespace {
@@ -61,12 +51,6 @@ class SimNodeClock : public ClockSource {
                  std::unique_lock<std::mutex>& lock, TimePoint deadline,
                  std::function<bool()> pred) const override {
     return parent_->WaitCommon(cv, lock, node_, deadline, &pred);
-  }
-
-  bool WaitOnce(std::condition_variable& cv,
-                std::unique_lock<std::mutex>& lock,
-                TimePoint deadline) const override {
-    return parent_->WaitCommon(cv, lock, node_, deadline, nullptr);
   }
 
   bool is_simulated() const override { return true; }
@@ -162,19 +146,10 @@ bool SimulatedClock::WaitUntil(std::condition_variable& cv,
   return WaitCommon(cv, lock, /*node=*/0, deadline, &pred);
 }
 
-bool SimulatedClock::WaitOnce(std::condition_variable& cv,
-                              std::unique_lock<std::mutex>& lock,
-                              TimePoint deadline) const {
-  return WaitCommon(cv, lock, /*node=*/0, deadline, nullptr);
-}
-
 // The wait core. Registration and deregistration drop the caller's lock
 // first (lock order forbids taking registry_mu_ under it); a pred-based
 // wait re-checks pred after re-locking, so it can never miss a producer
-// notify. A pred-less WaitOnce that loses a notify inside the
-// registration gap sleeps until its (virtual) deadline instead — every
-// WaitOnce caller re-derives its wake condition in a loop, so this is a
-// latency blip in simulated time, never a correctness issue.
+// notify. Only SleepFor waits without a pred: nobody notifies a sleep.
 bool SimulatedClock::WaitCommon(std::condition_variable& cv,
                                 std::unique_lock<std::mutex>& lock,
                                 uint64_t node, TimePoint deadline,
@@ -209,7 +184,7 @@ bool SimulatedClock::WaitCommon(std::condition_variable& cv,
       cv.wait(lock);
     }
   } else {
-    // WaitOnce / SleepFor shape: at most one block; report timeout-ness.
+    // SleepFor: at most one block; report timeout-ness.
     if (deadline != TimePoint::max() && NowFor(node) >= deadline) {
       result = true;
     } else {

@@ -35,8 +35,8 @@ inline int64_t ToMicros(Clock::duration d) {
   return std::chrono::duration_cast<Micros>(d).count();
 }
 
-// A source of time plus the three blocking shapes the library uses. The
-// condvar waits take the caller's own cv and held lock — a simulated
+// A source of time plus the two blocking shapes the library uses. The
+// condvar wait takes the caller's own cv and held lock — a simulated
 // clock registers the wait (mutex, cv, deadline) so a stepping thread
 // can wake it when virtual time crosses the deadline; the wall clock
 // forwards to the std primitives untouched.
@@ -51,19 +51,14 @@ class ClockSource {
 
   // Wait until pred() holds or `deadline` passes on this clock.
   // `lock` must be held on entry and is held again on return. Returns
-  // pred()'s final value. TimePoint::max() waits forever.
+  // pred()'s final value. TimePoint::max() waits forever. There is no
+  // predicate-less form: a simulated clock drops `lock` while it
+  // registers the wait, and only a re-check of pred() sees a notify sent
+  // in that window.
   virtual bool WaitUntil(std::condition_variable& cv,
                          std::unique_lock<std::mutex>& lock,
                          TimePoint deadline,
                          std::function<bool()> pred) const = 0;
-
-  // One wait round: block until notified, woken spuriously, or the
-  // deadline passes on this clock. Returns true iff the deadline had
-  // passed when the wait ended (the cv_status::timeout shape callers
-  // that re-derive their wake condition each loop need).
-  virtual bool WaitOnce(std::condition_variable& cv,
-                        std::unique_lock<std::mutex>& lock,
-                        TimePoint deadline) const = 0;
 
   virtual bool is_simulated() const { return false; }
 };
@@ -78,9 +73,6 @@ class WallClock : public ClockSource {
   bool WaitUntil(std::condition_variable& cv,
                  std::unique_lock<std::mutex>& lock, TimePoint deadline,
                  std::function<bool()> pred) const override;
-  bool WaitOnce(std::condition_variable& cv,
-                std::unique_lock<std::mutex>& lock,
-                TimePoint deadline) const override;
 };
 
 // Virtual time. Base time advances only via Advance / AdvanceTo /
@@ -106,9 +98,6 @@ class SimulatedClock : public ClockSource {
   bool WaitUntil(std::condition_variable& cv,
                  std::unique_lock<std::mutex>& lock, TimePoint deadline,
                  std::function<bool()> pred) const override;
-  bool WaitOnce(std::condition_variable& cv,
-                std::unique_lock<std::mutex>& lock,
-                TimePoint deadline) const override;
   bool is_simulated() const override { return true; }
 
   // --- stepping (driver / test side) ---

@@ -101,6 +101,7 @@ void FaultInjector::UpdateActiveLocked() {
 void FaultInjector::OnHit(CrashPoint* point) {
   std::function<void()> on_crash;
   uint64_t ordinal = 0;
+  bool fire = false;  // decided under mu_: a Disarm may follow at once
   {
     std::lock_guard<std::mutex> lock(mu_);
     const void* scope = ScopedFaultScope::Current();
@@ -113,10 +114,11 @@ void FaultInjector::OnHit(CrashPoint* point) {
       if (ordinal == armed_nth_) {
         triggered_.store(true);
         on_crash = on_crash_;
+        fire = true;
       }
     }
   }
-  if (ordinal != 0 && ordinal == armed_nth_) {
+  if (fire) {
     // The simulated power failure: take the node down (mailboxes close, no
     // further effect reaches stable storage from this node), then unwind
     // this thread so nothing after the site executes.

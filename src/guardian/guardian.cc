@@ -5,6 +5,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/log.h"
+#include "src/common/spin_park.h"
 #include "src/fault/crashpoint.h"
 #include "src/guardian/node_runtime.h"
 #include "src/guardian/system.h"
@@ -186,11 +187,13 @@ Result<Received> Guardian::ReceiveAny(std::span<Port* const> ports,
     }
     return std::nullopt;
   };
-  // What a wait waits for, checked under the mailbox lock. Waits take the
-  // predicate form: a simulated clock drops the mailbox lock while it
-  // registers the wait, so a push or close landing in that window is only
-  // seen by re-checking the mailbox, not by waiting for its notify.
-  auto ready = [&] { return mailbox_.closed || backlogged(); };
+  // The receive's wait record (DESIGN.md §8): one for the whole port list,
+  // on the mailbox's list only while the receive waits. A push to one of
+  // its ports, or the mailbox's close, signals it under the mailbox lock;
+  // nothing else wakes this thread. It is reset and registered in the same
+  // lock hold that found the ports empty, so no push can slip between.
+  WaitRecord record;
+  record.ports = ports;
   for (;;) {
     if (mailbox_.closed) {
       return Status(Code::kNodeDown, "guardian's node is down");
@@ -204,24 +207,27 @@ Result<Received> Guardian::ReceiveAny(std::span<Port* const> ports,
       // (and recheck closed) before deciding to wait.
       continue;
     }
-    if (infinite) {
-      clock.WaitUntil(mailbox_.cv, lock, TimePoint::max(), ready);
-    } else {
-      if (deadline.Expired() ||
-          !clock.WaitUntil(mailbox_.cv, lock, deadline.at(), ready)) {
-        // Check once more: a message may have arrived with the timeout.
-        discarded = false;
-        if (std::optional<Received> message = pop_live(&discarded)) {
-          return hand_over(*message);
-        }
-        if (mailbox_.closed) {
-          return Status(Code::kNodeDown, "guardian's node is down");
-        }
-        return Status(Code::kTimeout,
-                      "receive timed out; nothing is known about the true "
-                      "state of affairs");
-      }
+    if (deadline.Expired()) {
+      return Status(Code::kTimeout,
+                    "receive timed out; nothing is known about the true "
+                    "state of affairs");
     }
+    record.signalled.store(false, std::memory_order_relaxed);
+    mailbox_.AddLocked(&record);
+    const WaitEnd end = SpinThenPark(
+        clock, record.cv, lock, deadline.at(),
+        [&record] {
+          return record.signalled.load(std::memory_order_acquire);
+        },
+        &record.parked);
+    mailbox_.RemoveLocked(&record);
+    runtime_->NoteWait(end);
+    if (end == WaitEnd::kParked && !mailbox_.closed && !backlogged() &&
+        !deadline.Expired()) {
+      ++mailbox_.idle_wakeups;  // woken, and another process took it
+    }
+    // Loop: take what arrived, or report the close or the timeout; a
+    // message that arrives with the timeout is still taken.
   }
 }
 
@@ -309,11 +315,14 @@ Wal* Guardian::OpenLog(const std::string& resource) {
 }
 
 void Guardian::CloseMailbox() {
-  {
-    std::lock_guard<std::mutex> lock(mailbox_.mu);
-    mailbox_.closed = true;
-  }
-  mailbox_.cv.notify_all();
+  std::lock_guard<std::mutex> lock(mailbox_.mu);
+  mailbox_.closed = true;
+  mailbox_.SignalAllLocked();
+}
+
+uint64_t Guardian::idle_wakeups() const {
+  std::lock_guard<std::mutex> lock(mailbox_.mu);
+  return mailbox_.idle_wakeups;
 }
 
 void Guardian::JoinProcesses() { processes_.JoinAll(); }

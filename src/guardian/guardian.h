@@ -149,6 +149,11 @@ class Guardian {
     bool retired = false;
   };
   std::vector<PortStat> PortStats() const;
+  // Times a parked receive was woken and found nothing for it: another
+  // process took the message first, or the wake was spurious. A push wakes
+  // only the receives waiting on its port, so pushes to one port never
+  // count here for a process waiting on another.
+  uint64_t idle_wakeups() const;
 
   // --- Permanence (Section 2.2) -----------------------------------------------
   // A write-ahead log in the node's stable store, named by guardian name +

@@ -32,6 +32,7 @@
 
 #include "src/common/result.h"
 #include "src/common/rng.h"
+#include "src/common/spin_park.h"
 #include "src/guardian/guardian.h"
 #include "src/guardian/port_registry.h"
 #include "src/net/flow.h"
@@ -162,10 +163,14 @@ class NodeRuntime {
   // retries recognisable as duplicates at the receiver.
   uint64_t SendSession() const { return send_session_.load(); }
   uint64_t NextDedupSeq() { return dedup_seq_.fetch_add(1) + 1; }
-  // The dedup journal is compacted (checkpoint, then re-append of the live
-  // reply cache) by every this-many-th append, so it stays proportional to
-  // the reply cache rather than to message volume.
-  static constexpr uint64_t kDedupCompactEvery = 512;
+  // The dedup journal is compacted (the live reply cache becomes the
+  // log's checkpoint snapshot) by every this-many-th append, so it stays
+  // proportional to the reply cache rather than to message volume. One
+  // cache's worth (DedupTable::Config::reply_cache_capacity): the snapshot
+  // and the log then never hold more than two caches' worth together,
+  // which is what the log alone held when compaction re-appended the
+  // cache after every 512 appends.
+  static constexpr uint64_t kDedupCompactEvery = 256;
   // Planted-bug switch for the chaos harness: when true, MaybeJournalReply
   // skips the durable dedup-journal append (the in-memory table and reply
   // cache still work). Across a crash the at-most-once floor is then lost,
@@ -233,6 +238,9 @@ class NodeRuntime {
   // message's deadline the thread's inherited deadline (so nested sends
   // clamp to it).
   void NoteReceived(const Received& message);
+  // Called by Guardian::Receive after each blocked wait: counts it in
+  // guardian.wait.spun or guardian.wait.parked.
+  void NoteWait(WaitEnd end);
   // Called by Guardian::Receive (outside the mailbox lock) for a dequeued
   // entry whose deadline budget died in the queue: counts/traces the
   // discard, rolls back the dedup mark so an in-deadline retry of the same
@@ -441,6 +449,9 @@ class NodeRuntime {
     // died in a port (discarded at dequeue).
     Counter* expired_shed = nullptr;
     Counter* expired_dequeue = nullptr;
+    // How blocked receives waited (DESIGN.md §8): ended mid-spin, or parked.
+    Counter* wait_spun = nullptr;
+    Counter* wait_parked = nullptr;
   };
   DeliveryCounters counters_;
   CallCounters call_counters_;

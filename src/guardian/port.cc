@@ -4,6 +4,58 @@
 
 namespace guardians {
 
+void Mailbox::AddLocked(WaitRecord* record) {
+  record->prev = nullptr;
+  record->next = waiters;
+  if (waiters != nullptr) {
+    waiters->prev = record;
+  }
+  waiters = record;
+}
+
+void Mailbox::RemoveLocked(WaitRecord* record) {
+  if (record->prev != nullptr) {
+    record->prev->next = record->next;
+  } else {
+    waiters = record->next;
+  }
+  if (record->next != nullptr) {
+    record->next->prev = record->prev;
+  }
+  record->prev = record->next = nullptr;
+}
+
+namespace {
+void Signal(WaitRecord* record) {
+  record->signalled.store(true, std::memory_order_release);
+  if (record->parked) {
+    record->cv.notify_one();
+  }
+}
+}  // namespace
+
+void Mailbox::SignalLocked(const Port* port) {
+  for (WaitRecord* r = waiters; r != nullptr; r = r->next) {
+    if (std::find(r->ports.begin(), r->ports.end(), port) != r->ports.end()) {
+      Signal(r);
+    }
+  }
+}
+
+void Mailbox::SignalAllLocked() {
+  for (WaitRecord* r = waiters; r != nullptr; r = r->next) {
+    Signal(r);
+  }
+}
+
+size_t Mailbox::WaitersLocked() const {
+  size_t n = 0;
+  for (const WaitRecord* r = waiters; r != nullptr; r = r->next) {
+    ++n;
+  }
+  return n;
+}
+
 Port::PushOutcome Port::PushLocked(Received&& message, bool control) {
   PushOutcome out;
   if (retired_ || mailbox_->closed) {
@@ -38,9 +90,11 @@ Port::PushRun::PushRun(Port& port)
     : port_(port), lock_(port.mailbox_->mu) {}
 
 Port::PushRun::~PushRun() {
-  lock_.unlock();
+  // Under the lock (released when lock_ is destroyed, after this body):
+  // a signalled record may leave the list and its thread's stack as soon
+  // as the lock is free.
   if (any_ok_) {
-    port_.mailbox_->cv.notify_all();
+    port_.mailbox_->SignalLocked(&port_);
   }
 }
 

@@ -6,21 +6,25 @@
 //  from it... We assume that ports provide some buffer space so that
 //  messages may be queued if necessary."
 //
-// All ports of one guardian share the guardian's mailbox (one mutex and
-// condition variable), so `receive on <port list>` is a priority-ordered
-// scan plus a single wait — no polling. Port buffer capacity is bounded:
+// All ports of one guardian share the guardian's mailbox (one mutex), so
+// `receive on <port list>` is a priority-ordered scan plus a single wait —
+// no polling. Each blocked receive waits on a record of its own, which
+// names its ports, and a push wakes only the records that name the port it
+// filled (DESIGN.md §8). Port buffer capacity is bounded:
 // when there is no room, the incoming message is thrown away and, if it
 // carried a replyto port, the system sends a failure message there
 // (Section 3.4).
 #ifndef GUARDIANS_SRC_GUARDIAN_PORT_H_
 #define GUARDIANS_SRC_GUARDIAN_PORT_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -67,12 +71,37 @@ enum class PushResult {
              // useless until the guardian recreates the port
 };
 
-// Shared mailbox of one guardian: closed on crash/shutdown so every blocked
-// receive returns kNodeDown.
+class Port;
+
+// One blocked receive (DESIGN.md §8): the ports it waits on and its own
+// wake-up. It lives on the receiving thread's stack and is on its
+// mailbox's list only while the receive waits, so a waker signals it while
+// holding the mailbox lock, never after.
+struct WaitRecord {
+  std::span<Port* const> ports;
+  std::atomic<bool> signalled{false};  // set under the mailbox lock
+  bool parked = false;                 // guarded by the mailbox lock
+  std::condition_variable cv;
+  WaitRecord* prev = nullptr;  // the mailbox's list; guarded by its lock
+  WaitRecord* next = nullptr;
+};
+
+// Shared mailbox of one guardian: the lock over every port's queue, and
+// the records of the receives blocked on them. Closed on crash/shutdown so
+// every blocked receive returns kNodeDown. Every member is guarded by mu.
 struct Mailbox {
   std::mutex mu;
-  std::condition_variable cv;
   bool closed = false;
+  WaitRecord* waiters = nullptr;
+  // Parked receives woken with nothing for them (Guardian::idle_wakeups).
+  uint64_t idle_wakeups = 0;
+
+  void AddLocked(WaitRecord* record);
+  void RemoveLocked(WaitRecord* record);
+  // Wake the records that name `port`, or every record.
+  void SignalLocked(const Port* port);
+  void SignalAllLocked();
+  size_t WaitersLocked() const;
 };
 
 class Port {
@@ -114,9 +143,10 @@ class Port {
     bool via_headroom = false;  // control admitted above capacity_
   };
   // A run of pushes into one port under one mailbox lock and (at most) one
-  // receiver wake — the batched delivery path's amortization. The lock is
-  // held from construction; the wake, if any push succeeded, comes after
-  // the lock is released at destruction. Each message is admitted by the
+  // signal to the receives waiting on the port — the batched delivery
+  // path's amortization. The lock is held from construction; the signal,
+  // if any push succeeded, comes at destruction, just before the lock is
+  // released. Each message is admitted by the
   // same policy as Push, in order, so the outcomes are exactly what
   // per-message pushes would have produced. Finish failed pushes only
   // after the run ends: reading the port's depth takes the mailbox lock.

@@ -105,10 +105,15 @@ FlowSlot FlowController::Acquire(const PortName& to, const Deadline& deadline) {
       }
     }
     // Wake when feedback arrives or — during a congested hold — when the
-    // hold elapses; always bounded by the caller's deadline.
+    // hold elapses; always bounded by the caller's deadline. The predicate
+    // form matters on a simulated clock, which drops mu_ while it
+    // registers the wait: feedback in that window moves feedback_seq_,
+    // where its notify alone would be lost.
     TimePoint wake = deadline.IsInfinite() ? TimePoint::max() : deadline.at();
     if (congested) wake = std::min(wake, entry.congested_until);
-    clock_->WaitOnce(cv_, lock, wake);
+    const uint64_t seen = feedback_seq_;
+    clock_->WaitUntil(cv_, lock, wake,
+                      [this, seen] { return feedback_seq_ != seen; });
     if (shutdown_) {
       slot.ok_ = true;  // unaccounted: the node is going down anyway
       break;
@@ -134,6 +139,11 @@ void FlowController::ReleaseSlot(const PortName& to, uint64_t epoch,
     if (implicit_credits_ != nullptr) implicit_credits_->Inc();
     Grow(entry);
   }
+  NotifyLocked();
+}
+
+void FlowController::NotifyLocked() {
+  ++feedback_seq_;
   cv_.notify_all();
 }
 
@@ -168,7 +178,7 @@ void FlowController::OnCreditBatch(const PortName& port, uint32_t queue_depth,
   for (uint32_t i = 0; i < credits; ++i) {
     Grow(entry);
   }
-  cv_.notify_all();
+  NotifyLocked();
 }
 
 void FlowController::OnFullNack(const PortName& port, uint32_t queue_depth,
@@ -191,7 +201,7 @@ void FlowController::OnFullNack(const PortName& port, uint32_t queue_depth,
   }
   // Waiters re-evaluate: the window shrank but congested_until also moved,
   // so they mostly re-arm their timed wait.
-  cv_.notify_all();
+  NotifyLocked();
 }
 
 void FlowController::OnLocalSuccess(const PortName& port) {
@@ -201,7 +211,7 @@ void FlowController::OnLocalSuccess(const PortName& port) {
   Entry& entry = EntryFor(port);
   if (implicit_credits_ != nullptr) implicit_credits_->Inc();
   Grow(entry);
-  cv_.notify_all();
+  NotifyLocked();
 }
 
 double FlowController::WindowFor(const PortName& to) const {
@@ -219,7 +229,7 @@ size_t FlowController::InFlightFor(const PortName& to) const {
 void FlowController::Shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
   shutdown_ = true;
-  cv_.notify_all();
+  NotifyLocked();
 }
 
 void FlowController::Reset() {
@@ -227,7 +237,7 @@ void FlowController::Reset() {
   entries_.clear();
   ++epoch_;
   shutdown_ = false;
-  cv_.notify_all();
+  NotifyLocked();
 }
 
 }  // namespace guardians

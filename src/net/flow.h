@@ -161,10 +161,15 @@ class FlowController {
   const uint32_t node_;
   const ClockSource* clock_;
 
+  // Requires mu_ held: tells deferred senders that something changed.
+  void NotifyLocked();
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool shutdown_ = false;                                 // guarded by mu_
   uint64_t epoch_ = 0;                                    // guarded by mu_
+  // Bumped by every NotifyLocked; a deferred sender waits for it to move.
+  uint64_t feedback_seq_ = 0;                             // guarded by mu_
   std::unordered_map<PortName, Entry, PortNameHash> entries_;  // mu_
 
   // flow.* metrics; null when no registry was given.

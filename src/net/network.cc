@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "src/common/log.h"
+#include "src/common/spin_park.h"
 
 namespace guardians {
 
@@ -85,6 +86,8 @@ Network::Network(uint64_t seed, MetricsRegistry* metrics, TraceBuffer* traces,
     shard->batch_inline = metrics_->counter(prefix + "batch.inline");
     shard->batch_size = metrics_->histogram(
         prefix + "batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
+    shard->wait_spun = metrics_->counter(prefix + "wait.spun");
+    shard->wait_parked = metrics_->counter(prefix + "wait.parked");
     shards_.push_back(std::move(shard));
   }
   for (auto& shard : shards_) {
@@ -119,9 +122,12 @@ void Network::Shutdown() {
   }
   stopping_.store(true);
   for (auto& shard : shards_) {
-    // Lock-then-notify so a worker between its predicate check and its
-    // wait cannot miss the stop signal.
-    { std::lock_guard<std::mutex> lock(shard->mu); }
+    // Under the lock, so a worker between its check and its wait cannot
+    // miss the stop signal.
+    {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      shard->wake_seq.fetch_add(1, std::memory_order_release);
+    }
     shard->cv.notify_all();
   }
   for (auto& shard : shards_) {
@@ -417,6 +423,7 @@ bool Network::TryDrainInline(std::vector<InFlight>& decided) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.draining = false;
+    shard.wake_seq.fetch_add(1, std::memory_order_release);
     // Senders that found the token taken heaped their packets; the worker
     // waits for the token to take them (and Shutdown for the drain).
     wake_worker = !shard.heap.empty() || stopping_.load();
@@ -450,9 +457,11 @@ void Network::EnqueueToShard(std::span<InFlight> entries) {
       std::push_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
     }
     shard.enqueued->Inc(entries.size());
-    // Wake coalescing: the worker only needs a signal when the heap went
+    // A spinning worker sees this without any wake.
+    shard.wake_seq.fetch_add(1, std::memory_order_release);
+    // Wake coalescing: a parked worker only needs a wake when the heap went
     // empty -> non-empty (it may be in its indefinite wait) or when a new
-    // entry preempts the front (its wait_until deadline is now too late).
+    // entry preempts the front (its timed wait's deadline is now too late).
     // A backlogged shard — front already due — never needs one: the worker
     // is either draining or about to re-check the heap, so the common
     // saturated Send pays no futex wake at all. Nor does a shard whose
@@ -575,16 +584,30 @@ void Network::ShardLoop(Shard& shard) {
       return;
     }
     if (shard.heap.empty() || shard.draining) {
-      // Idle, or a sending thread holds the token: its release wakes us
-      // if it leaves packets in the heap.
-      clock_->WaitUntil(shard.cv, lock, TimePoint::max(), [&] {
-        return stopping_.load() || (!shard.heap.empty() && !shard.draining);
-      });
+      // Idle, or a sending thread holds the token: wait for the next
+      // enqueue, token release or stop, spinning first when waits are
+      // short (DESIGN.md §8).
+      const uint64_t seen = shard.wake_seq.load(std::memory_order_relaxed);
+      const WaitEnd end = SpinThenPark(
+          *clock_, shard.cv, lock, TimePoint::max(), [&shard, seen] {
+            return shard.wake_seq.load(std::memory_order_acquire) != seen;
+          });
+      (end == WaitEnd::kSpun ? shard.wait_spun : shard.wait_parked)->Inc();
       continue;
     }
     const TimePoint now = clock_->Now();
-    if (now < shard.heap.front().deliver_at) {
-      clock_->WaitOnce(shard.cv, lock, shard.heap.front().deliver_at);
+    const TimePoint due = shard.heap.front().deliver_at;
+    if (now < due) {
+      // Until the front is due, or something changes what to wait for: an
+      // earlier packet preempts the front, a sending thread takes the
+      // token, or Shutdown. The predicate form matters on a simulated
+      // clock, which drops the lock while it registers the wait: a
+      // preempting enqueue in that window is seen by re-checking the heap,
+      // where its notify would be lost.
+      clock_->WaitUntil(shard.cv, lock, due, [this, &shard, due] {
+        return stopping_.load() || shard.draining || shard.heap.empty() ||
+               shard.heap.front().deliver_at < due;
+      });
       continue;
     }
 

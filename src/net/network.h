@@ -257,9 +257,10 @@ class Network {
 
   // One delivery worker: a timing heap of packets addressed to the nodes
   // this shard owns, its own lock/condvar, the drain token, and per-shard
-  // counters (net.shard.<k>.{enqueued,delivered,dropped} plus the batching
+  // counters (net.shard.<k>.{enqueued,delivered,dropped}, the batching
   // telemetry net.shard.<k>.batch.{drains,packets,inline} and the
-  // batch.size histogram).
+  // batch.size histogram, and how the idle worker waited,
+  // net.shard.<k>.wait.{spun,parked}).
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;
@@ -268,6 +269,10 @@ class Network {
     // thread runs a drain. It serializes the shard's sinks, and whoever
     // holds it owns the scratch below.
     bool draining = false;
+    // What the idle worker watches (spinning or parked): bumped under mu by
+    // every enqueue, every release of the token by a sending thread, and
+    // Shutdown.
+    std::atomic<uint64_t> wake_seq{0};
     std::thread worker;
     Counter* enqueued = nullptr;
     Counter* delivered = nullptr;
@@ -276,6 +281,8 @@ class Network {
     Counter* batch_packets = nullptr;
     Counter* batch_inline = nullptr;  // drains run by a sending thread
     Histogram* batch_size = nullptr;
+    Counter* wait_spun = nullptr;
+    Counter* wait_parked = nullptr;
     // Drain scratch, reused across drains: the batch itself, the drain's
     // destinations in first-appearance order, and the hand-off vector to
     // a sink.

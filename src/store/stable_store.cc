@@ -87,10 +87,10 @@ Status StableStore::Delete(const std::string& name) {
   return OkStatus();
 }
 
-Status StableStore::PutCell(const std::string& name, const Bytes& data) {
+Status StableStore::PutCell(const std::string& name, Bytes data) {
   std::lock_guard<std::mutex> lock(mu_);
   GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-  cells_[name] = data;
+  cells_[name] = std::move(data);
   return OkStatus();
 }
 

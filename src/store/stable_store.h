@@ -40,7 +40,9 @@ class StableStore {
   Status Delete(const std::string& name);
 
   // --- Cells (small replace-on-write values) ------------------------------
-  Status PutCell(const std::string& name, const Bytes& data);
+  // Takes `data` by value: a caller that moves a large cell in copies
+  // nothing.
+  Status PutCell(const std::string& name, Bytes data);
   Result<Bytes> GetCell(const std::string& name) const;
   Status DeleteCell(const std::string& name);
 

@@ -67,13 +67,17 @@ uint64_t Wal::CommittedEpoch() const {
   return cell.ok() ? DecodeU64Le(*cell) : 0;
 }
 
-Status Wal::Checkpoint(const Bytes& snapshot) {
+Status Wal::Checkpoint(Bytes snapshot) {
   crash_checkpoint_before.Hit();
   const uint64_t epoch = CommittedEpoch() + 1;
-  Bytes snap_cell = EncodeU64Le(epoch);
-  snap_cell.resize(8 + snapshot.size());
-  std::copy(snapshot.begin(), snapshot.end(), snap_cell.begin() + 8);
-  GUARDIANS_RETURN_IF_ERROR(store_->PutCell(SnapCell(), snap_cell));
+  // The cell is [u64 epoch][snapshot], built in the snapshot's own buffer.
+  const size_t size = snapshot.size();
+  snapshot.resize(8 + size);
+  std::copy_backward(snapshot.begin(), snapshot.begin() + size,
+                     snapshot.end());
+  const Bytes epoch_le = EncodeU64Le(epoch);
+  std::copy(epoch_le.begin(), epoch_le.end(), snapshot.begin());
+  GUARDIANS_RETURN_IF_ERROR(store_->PutCell(SnapCell(), std::move(snapshot)));
   crash_checkpoint_mid.Hit();
   Status truncated = store_->Truncate(LogStream(), 0);
   if (!truncated.ok() && truncated.code() != Code::kNotFound) {

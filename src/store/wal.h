@@ -57,8 +57,9 @@ class Wal {
   // Replace the checkpoint with `snapshot` and truncate the record log.
   // Crash-safe at any interior point (see the epoch protocol above); fails
   // with kStorageError when the device has failed, in which case the
-  // checkpoint may be half-done on media — recovery repairs it.
-  Status Checkpoint(const Bytes& snapshot);
+  // checkpoint may be half-done on media — recovery repairs it. A moved-in
+  // snapshot becomes the snapshot cell without a copy.
+  Status Checkpoint(Bytes snapshot);
 
   // Read everything back (the recovery process's input). Non-const: it
   // rolls an interrupted checkpoint forward on the store.

@@ -7,6 +7,7 @@
 
 #include "src/airline/flight_guardian.h"
 #include "src/bank/account_guardian.h"
+#include "src/fault/crashpoint.h"
 #include "src/guardian/system.h"
 #include "src/sendprims/remote_call.h"
 
@@ -120,6 +121,45 @@ TEST_F(CrashTest, DestroyedGuardianIsNotRecovered) {
   node_->Crash();
   ASSERT_TRUE(node_->Restart().ok());
   EXPECT_EQ(node_->FindGuardian(gid), nullptr);
+}
+
+TEST_F(CrashTest, CrashInsideDestroysLogRewriteKeepsTheOtherGuardians) {
+  // Regression: DestroyGuardian rewrote the meta log as Checkpoint({}) and
+  // then re-appended every other guardian's creation record, so a crash
+  // between the two forgot every persistent guardian on the node. The
+  // kept records are now the checkpoint's snapshot, installed in one
+  // crash-atomic step.
+  const GuardianId keep =
+      (*node_->Create<ShellGuardian>("shell", "keep", {}, true))->id();
+  const GuardianId doomed =
+      (*node_->Create<ShellGuardian>("shell", "doomed", {}, true))->id();
+  NodeRuntime* node = node_;
+  ASSERT_TRUE(FaultInjector::Instance()
+                  .Arm({"wal.checkpoint.after_truncate", 1}, node,
+                       [node] { node->BeginCrash(); })
+                  .ok());
+  const Status destroyed = node_->DestroyGuardian(doomed);
+  const bool fired = FaultInjector::Instance().triggered();
+  FaultInjector::Instance().Disarm();
+  ASSERT_TRUE(fired);
+  EXPECT_EQ(destroyed.code(), Code::kNodeDown);
+  ASSERT_TRUE(node_->Restart().ok());
+  EXPECT_NE(node_->FindGuardian(keep), nullptr);
+  EXPECT_EQ(node_->FindGuardian(doomed), nullptr);
+}
+
+TEST_F(CrashTest, DestroyOnAFailedStoreReportsItAndKeepsTheGuardian) {
+  // A destroy whose log rewrite fails returns the store's error and
+  // changes nothing: the guardian runs on, and is recovered after a crash.
+  const GuardianId gid =
+      (*node_->Create<ShellGuardian>("shell", "stays", {}, true))->id();
+  node_->stable_store().SetFailed(true);
+  EXPECT_EQ(node_->DestroyGuardian(gid).code(), Code::kStorageError);
+  node_->stable_store().SetFailed(false);
+  EXPECT_NE(node_->FindGuardian(gid), nullptr);
+  node_->Crash();
+  ASSERT_TRUE(node_->Restart().ok());
+  EXPECT_NE(node_->FindGuardian(gid), nullptr);
 }
 
 TEST_F(CrashTest, RepeatedCrashRestartCyclesPreserveEveryAckedOp) {

@@ -11,6 +11,7 @@
 
 #include "src/airline/flight_guardian.h"
 #include "src/airline/types.h"
+#include "src/fault/crashpoint.h"
 #include "src/guardian/port.h"
 #include "src/guardian/system.h"
 #include "src/sendprims/reliable_send.h"
@@ -436,6 +437,69 @@ TEST_F(DedupSystemTest, CompactionKeepsTheReplyThatTriggeredIt) {
   auto recovered = other->Receive(reply_port, Millis(5000));
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->command, "ok") << "the reserve re-executed";
+  EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"), 1u);
+}
+
+TEST_F(DedupSystemTest, CrashInsideCompactionKeepsTheLiveReplies) {
+  // Regression: compaction ran Checkpoint({}) and then re-appended the
+  // live reply cache, so a crash between the two emptied the journal: a
+  // retry of an operation answered just before the crash re-executed. The
+  // live records are now the checkpoint's snapshot, installed in one
+  // crash-atomic step.
+  auto flight = region_->Create<FlightGuardian>(
+      "flight", "f3", MakeFlight(3, 1 << 10).ToArgs(), /*persistent=*/true);
+  ASSERT_TRUE(flight.ok());
+  const PortName flight_port = (*flight)->ProvidedPorts()[0];
+  Port* counter = server_->AddPort(CounterPortType(), 16);
+  server_->Fork("counter", [this, counter] {
+    for (;;) {
+      auto request = server_->Receive(counter, Micros::max());
+      if (!request.ok()) {
+        return;
+      }
+      (void)server_->Send(request->reply_to, "val", {Value::Int(0)});
+    }
+  });
+  const uint64_t fillers = NodeRuntime::kDedupCompactEvery - 2;
+  for (uint64_t i = 0; i < fillers; ++i) {
+    auto reply = RemoteCall(*client_, counter->name(), "inc", {},
+                            CounterReplyType());
+    ASSERT_TRUE(reply.ok()) << "filler " << i << ": " << reply.status();
+  }
+  // One reserve answered before the compaction...
+  Port* reply_port = client_->AddPort(ReservationReplyType(), 8);
+  const uint64_t seq = client_node_->NextDedupSeq();
+  auto send = [&] {
+    return client_->SendFull(flight_port, "reserve",
+                             {Value::Str("p0"), Value::Str("d0")},
+                             reply_port->name(), PortName{}, seq);
+  };
+  ASSERT_TRUE(send().ok());
+  auto first = client_->Receive(reply_port, Millis(2000));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->command, "ok");
+  // ...and the reply whose journaling compacts, crashing right after the
+  // checkpoint's truncate.
+  NodeRuntime* region = region_;
+  ASSERT_TRUE(FaultInjector::Instance()
+                  .Arm({"wal.checkpoint.after_truncate", 1}, region,
+                       [region] { region->BeginCrash(); })
+                  .ok());
+  RemoteCallOptions once;
+  once.timeout = Millis(300);
+  once.max_attempts = 1;
+  auto trigger = RemoteCall(*client_, counter->name(), "inc", {},
+                            CounterReplyType(), once);
+  EXPECT_FALSE(trigger.ok());
+  const bool fired = FaultInjector::Instance().triggered();
+  FaultInjector::Instance().Disarm();
+  ASSERT_TRUE(fired);
+
+  ASSERT_TRUE(region_->Restart().ok());
+  ASSERT_TRUE(send().ok());
+  auto retried = client_->Receive(reply_port, Millis(5000));
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(retried->command, "ok") << "the reserve re-executed";
   EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"), 1u);
 }
 

@@ -11,6 +11,7 @@
 
 #include "src/common/clock.h"
 #include "src/guardian/system.h"
+#include "src/net/network.h"
 #include "src/sendprims/reliable_send.h"
 #include "src/sendprims/remote_call.h"
 #include "src/wire/packet.h"
@@ -90,6 +91,52 @@ TEST(SimulatedClockTest, SkewAndDriftChangeOnlyThatNodesView) {
 }
 
 // --- Deadline ---------------------------------------------------------------
+
+// Regression: the shard worker's timed wait was a bare WaitOnce. The
+// simulated clock drops the shard lock while it registers a wait, so a
+// send that preempted the heap front inside that window lost its notify,
+// and the worker slept on to the old front's instant: the early packet was
+// delivered a virtual millisecond late.
+TEST(NetworkVirtualTime, APreemptingPacketIsDeliveredAtItsOwnInstant) {
+  SimulatedClock sim;
+  Network network(1, nullptr, nullptr, /*shards=*/1,
+                  Network::kDefaultBatchMax, &sim);
+  const NodeId a = network.AddNode("a");
+  const NodeId b = network.AddNode("b");
+  const NodeId c = network.AddNode("c");
+  network.SetLink(a, b, LinkParams{Millis(1), Micros(0), 0, 0, 0});
+  network.SetLink(c, b, LinkParams{Micros(10), Micros(0), 0, 0, 0});
+  std::atomic<uint64_t> first{0};
+  std::atomic<int> delivered{0};
+  network.SetSink(b, [&](Packet&& p) {
+    uint64_t none = 0;
+    first.compare_exchange_strong(none, p.msg_id);
+    delivered.fetch_add(1);
+  });
+  auto packet = [](NodeId src, NodeId dst, uint64_t id) {
+    Packet p;
+    p.msg_id = id;
+    p.src = src;
+    p.dst = dst;
+    p.payload = Bytes(16, static_cast<uint8_t>(id));
+    p.Seal();
+    return p;
+  };
+  network.Send(packet(a, b, 1));  // due at +1 ms
+  ASSERT_TRUE(sim.WaitForWaiters(1));
+  network.Send(packet(c, b, 2));  // due at +10 us: the new heap front
+  sim.Advance(Micros(10));
+  const TimePoint give_up = Now() + Millis(2000);
+  while (delivered.load() == 0 && Now() < give_up) {
+    std::this_thread::sleep_for(Micros(100));
+  }
+  EXPECT_EQ(delivered.load(), 1);
+  EXPECT_EQ(first.load(), 2u);
+  sim.Advance(Millis(1));
+  EXPECT_TRUE(network.DrainForTesting(Millis(2000)));
+  EXPECT_EQ(delivered.load(), 2);
+  network.Shutdown();
+}
 
 TEST(DeadlineTest, ExpiresOnVirtualAdvanceWithoutWallWaiting) {
   SimulatedClock sim;
