@@ -1595,6 +1595,12 @@ ChaosReport ChaosEngine::RunSchedule(const std::vector<ChaosEvent>& schedule) {
     if ((*world)->supervisor) {
       (*world)->supervisor->Stop();
     }
+    System& system = (*world)->system;
+    report.waits_spun = system.metrics().CounterValue("guardian.wait.spun");
+    for (size_t k = 0; k < system.network().shard_count(); ++k) {
+      report.waits_spun += system.metrics().CounterValue(
+          "net.shard." + std::to_string(k) + ".wait.spun");
+    }
   }
   if (sim) {
     sim->StopAutoStep();

@@ -171,6 +171,10 @@ struct ChaosReport {
   uint64_t dup_replays = 0;
   int ops_attempted = 0;
   int ops_acked = 0;
+  // Blocked waits (receives and idle delivery shards) that ended mid-spin
+  // (DESIGN.md §8). Timing-dependent on the wall clock; always 0 with
+  // sim_time, where nothing spins.
+  uint64_t waits_spun = 0;
   // Seed + schedule + DumpTrace evidence; filled when violations exist.
   std::string failure_dump;
 

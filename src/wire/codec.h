@@ -38,6 +38,8 @@ class WireEncoder {
 
   const Bytes& bytes() const { return out_; }
   Bytes Take() { return std::move(out_); }
+  // Empty the encoder, keeping its buffer for the next encoding.
+  void Clear() { out_.clear(); }
   size_t size() const { return out_.size(); }
 
  private:
