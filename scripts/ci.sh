@@ -57,10 +57,12 @@
 # overnighter; per-seed pass/fail lands in BENCH_chaos.json.
 #
 # --stress (opt-in) runs four copies of test_chaos and four of
-# test_node_runtime at once after the tier-1 suite, and fails if any copy
-# fails. The suites that decide quiescence by wall-clock quiet are the
-# ones CPU contention breaks, and spinning waits change that contention;
-# each copy's output lands in build/stress/.
+# test_node_runtime at once after the tier-1 suite, then four copies each
+# of test_runtime and test_guardian_comm, and fails if any copy fails. The
+# suites that decide quiescence by wall-clock quiet are the ones CPU
+# contention breaks, and spinning waits change that contention; the
+# serializer's hand-off and the spin test's own premise are checked the
+# same way. Each copy's output lands in build/stress/.
 #
 # Usage: scripts/ci.sh [--skip-tsan] [--skip-bench] [--skip-chaos]
 #        [--soak N] [--asan] [--stress]
@@ -147,31 +149,37 @@ echo "==> tier-1: ctest (full suite)"
 ctest --preset default -j "$JOBS"
 
 if [[ "$RUN_STRESS" -eq 1 ]]; then
-  echo "==> stress: four copies each of test_chaos and test_node_runtime at once"
   mkdir -p build/stress
-  STRESS_PIDS=()
-  STRESS_NAMES=()
-  for copy in 1 2 3 4; do
-    for suite in test_chaos test_node_runtime; do
-      "build/tests/$suite" > "build/stress/$suite.$copy.log" 2>&1 &
-      STRESS_PIDS+=("$!")
-      STRESS_NAMES+=("$suite.$copy")
-    done
-  done
   STRESS_FAILED=0
-  for i in "${!STRESS_PIDS[@]}"; do
-    if wait "${STRESS_PIDS[$i]}"; then
-      echo "  ${STRESS_NAMES[$i]}: pass"
-    else
-      echo "  ${STRESS_NAMES[$i]}: FAIL (build/stress/${STRESS_NAMES[$i]}.log)"
-      STRESS_FAILED=$((STRESS_FAILED + 1))
-    fi
-  done
+  STRESS_COPIES=0
+  # Runs four copies of each named suite at once and counts the failures.
+  stress_wave() {
+    echo "==> stress: four copies each of $* at once"
+    local pids=() names=()
+    for copy in 1 2 3 4; do
+      for suite in "$@"; do
+        "build/tests/$suite" > "build/stress/$suite.$copy.log" 2>&1 &
+        pids+=("$!")
+        names+=("$suite.$copy")
+      done
+    done
+    for i in "${!pids[@]}"; do
+      STRESS_COPIES=$((STRESS_COPIES + 1))
+      if wait "${pids[$i]}"; then
+        echo "  ${names[$i]}: pass"
+      else
+        echo "  ${names[$i]}: FAIL (build/stress/${names[$i]}.log)"
+        STRESS_FAILED=$((STRESS_FAILED + 1))
+      fi
+    done
+  }
+  stress_wave test_chaos test_node_runtime
+  stress_wave test_runtime test_guardian_comm
   if [[ "$STRESS_FAILED" -gt 0 ]]; then
-    echo "stress FAIL: $STRESS_FAILED of ${#STRESS_PIDS[@]} copies failed" >&2
+    echo "stress FAIL: $STRESS_FAILED of $STRESS_COPIES copies failed" >&2
     exit 1
   fi
-  echo "stress ok: all ${#STRESS_PIDS[@]} copies passed"
+  echo "stress ok: all $STRESS_COPIES copies passed"
 fi
 
 if [[ "$SKIP_BENCH" -eq 1 ]]; then

@@ -4,19 +4,9 @@
 
 #include "src/common/bytes.h"
 #include "src/common/log.h"
-#include "src/fault/crashpoint.h"
 #include "src/wire/value_codec.h"
 
 namespace guardians {
-
-namespace {
-// The §2.2 log-then-reply window at the application layer: before the log
-// write the operation must vanish without trace; after it, it must survive
-// recovery even though the requester was never told.
-CrashPoint crash_reserve_before_log("flight.reserve.before_log");
-CrashPoint crash_reserve_after_log("flight.reserve.after_log");
-CrashPoint crash_cancel_after_log("flight.cancel.after_log");
-}  // namespace
 
 ValueList FlightConfig::ToArgs() const {
   return {Value::Int(flight_no),
@@ -229,9 +219,7 @@ void FlightGuardian::DoReserve(const Received& request) {
   }
   // Permanence first (Section 2.2): the operation is logged before it is
   // applied and before the requester learns the result.
-  crash_reserve_before_log.Hit();
   LogOp("reserve", passenger, date);
-  crash_reserve_after_log.Hit();
   ReserveOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(db_mu_);
@@ -256,7 +244,6 @@ void FlightGuardian::DoCancel(const Received& request) {
     runtime().clock().SleepFor(config_.service_time);
   }
   LogOp("cancel", passenger, date);
-  crash_cancel_after_log.Hit();
   CancelOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(db_mu_);

@@ -19,7 +19,9 @@ thread_local Clock::duration t_average = kColdAverage;
 
 namespace internal {
 
-bool ShouldSpin() { return t_average < kSpinBudget; }
+Clock::duration RecentWait() { return t_average; }
+
+bool ShouldSpin() { return RecentWait() < kSpinBudget; }
 
 void NoteWaitLength(Clock::duration lasted) {
   const Clock::duration sample = std::min(lasted, kColdAverage);

@@ -40,6 +40,8 @@ enum class WaitEnd : uint8_t {
 };
 
 namespace internal {
+// The calling thread's moving average of its recent wait lengths.
+Clock::duration RecentWait();
 // Whether the calling thread's recent waits were short enough to spin.
 bool ShouldSpin();
 // Folds one wait's length into the calling thread's moving average.

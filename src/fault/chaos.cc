@@ -15,7 +15,7 @@
 #include "src/airline/flight_guardian.h"
 #include "src/airline/types.h"
 #include "src/bank/branch_guardian.h"
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/fault/supervisor.h"
 #include "src/guardian/system.h"
 #include "src/net/topology.h"
@@ -240,7 +240,7 @@ FlightConfig MakeFlightConfig(int64_t flight_no) {
   fc.capacity = kFlightCapacity;
   fc.organization = FlightOrganization::kOneAtATime;
   fc.logging = true;
-  fc.checkpoint_every = 8;  // small, so checkpoint crashpoints get hit
+  fc.checkpoint_every = 8;  // small, so crash plans can land in checkpoints
   return fc;
 }
 
@@ -536,14 +536,13 @@ class ChaosRun {
       ++report_->recoveries;
       return;
     }
-    if (ev.crash_point.empty()) {
+    if (!ev.crash_plan.has_value()) {
       target->BeginCrash();  // the supervisor finishes and restarts it
       ++report_->crashes;
       return;
     }
     Status armed = FaultInjector::Instance().Arm(
-        CrashPlan{ev.crash_point, ev.nth_hit}, target,
-        [target] { target->BeginCrash(); });
+        *ev.crash_plan, target, [target] { target->BeginCrash(); });
     if (armed.ok()) {
       armed_ = true;
     } else {
@@ -581,8 +580,10 @@ class ChaosRun {
     // amounts are huge on purpose: a single doomed op leaking through
     // would blow tally.bounds as well as the expired-effect witness.
     for (uint64_t k = 0; k < ev.overload_n; ++k) {
-      const std::string id =
-          "x" + std::to_string(ev.epoch) + "-" + std::to_string(k);
+      const std::string id = std::string("x")
+                                 .append(std::to_string(ev.epoch))
+                                 .append("-")
+                                 .append(std::to_string(k));
       doomed_ids_.push_back(id);
       (void)clerk()->SendFull(world_->tally_port, "add",
                               {Value::Str(id), Value::Int(1'000'000)},
@@ -1240,8 +1241,8 @@ std::string ChaosEvent::Describe() const {
       break;
     case ChaosEventKind::kCrash:
       what = "crash " + na;
-      if (!crash_point.empty()) {
-        what += " @" + crash_point + "#" + std::to_string(nth_hit);
+      if (crash_plan.has_value()) {
+        what += " @" + crash_plan->ToString();
       } else {
         what += " (power)";
       }
@@ -1362,12 +1363,12 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
   auto sym_key = [](NodeId a, NodeId b) {
     return std::make_pair(std::min(a, b), std::max(a, b));
   };
-  // Supervised crash menu: "" is a plain power failure; the rest are armed
-  // crashpoints inside durability windows (log append, reserve logging,
-  // the dedup journal, checkpointing).
-  const char* const kCrashSites[] = {
-      "", "wal.append.after_frame", "flight.reserve.before_log",
-      "node.dedup.before_journal", "wal.checkpoint.after_snapshot"};
+  // Supervised crash menu, one draw: a plain power failure, or a plan at
+  // the target's nth stable-store mutation after arming (the next or the
+  // one after), landing after, before or inside it.
+  const std::optional<CrashWhen> kCrashMenu[] = {
+      std::nullopt, CrashWhen::kAfter, CrashWhen::kBefore, CrashWhen::kTorn,
+      CrashWhen::kAfter};
 
   // Epoch 0 is a clean warm-up (the dup-replay pool needs an acked op);
   // the last epoch is heal-only cool-down.
@@ -1486,7 +1487,7 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
         }
         case 6: {
           const NodeId target = g.NextBool(0.5) ? kRegionNode : kAnnexNode;
-          const uint64_t site = g.NextBelow(5);
+          const std::optional<CrashWhen> when = kCrashMenu[g.NextBelow(5)];
           const uint64_t nth = 1 + g.NextBelow(2);
           // A restart against a failing store would fail (recovery writes);
           // that is a harness artifact, not a system bug, so avoid it.
@@ -1496,9 +1497,8 @@ std::vector<ChaosEvent> ChaosEngine::GenerateSchedule() const {
           }
           crashed_this_epoch = true;
           ChaosEvent ev{ChaosEventKind::kCrash, e, target};
-          if (config_.supervised) {
-            ev.crash_point = kCrashSites[site];
-            ev.nth_hit = nth;
+          if (config_.supervised && when.has_value()) {
+            ev.crash_plan = CrashPlan{nth, *when};
           }
           out.push_back(ev);
           break;

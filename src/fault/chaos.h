@@ -5,10 +5,11 @@
 // symmetric and one-way partitions forming and healing, campus-level cuts
 // (topology.h), link-quality storms (LinkParams loss/dup/corrupt/jitter
 // mutated mid-run through the Network's link-epoch path, under the global
-// send lock), node crashes (quiescent power failures, or armed crashpoints
-// inside durability windows with supervised restarts), and StableStore
-// device failures — interleaved with the bank and airline workloads plus a
-// non-idempotent tally guardian that witnesses duplicate effects.
+// send lock), node crashes (quiescent power failures, or crash plans armed
+// at a stable-store mutation boundary, with supervised restarts), and
+// StableStore device failures — interleaved with the bank and airline
+// workloads plus a non-idempotent tally guardian that witnesses duplicate
+// effects.
 //
 // After every epoch and at final quiescence a ChaosInvariants pass asserts
 // the global laws the system already implies:
@@ -42,10 +43,12 @@
 #define GUARDIANS_SRC_FAULT_CHAOS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/fault/fault_injector.h"
 #include "src/net/network.h"
 
 namespace guardians {
@@ -82,9 +85,9 @@ struct ChaosEvent {
   NodeId a = 0;    // primary node: crash/store target, or link endpoint
   NodeId b = 0;    // second link endpoint (partition/storm events)
   LinkParams storm{};         // kLinkStorm only
-  std::string crash_point{};  // kCrash, supervised mode: armed site; empty
-                              // = direct power failure between operations
-  uint64_t nth_hit = 1;     // which hit of crash_point fires
+  // kCrash, supervised mode: the plan armed on node a's stable store;
+  // none = a direct power failure between operations.
+  std::optional<CrashPlan> crash_plan{};
   int64_t skew_us = 0;      // kClockSkew: step size (negative = backward)
   double drift = 1.0;       // kClockDrift: rate vs base time
   uint64_t reorder_k = 0;   // kReorderStorm: max packets held
@@ -103,8 +106,8 @@ struct ChaosConfig {
   // false: deterministic mode — crashes are quiescent power failures with
   // an immediate synchronous restart, storms keep dup off the RPC links,
   // and outcome counts are bit-identical across the shard/batch grid.
-  // true: supervised mode — crashes arm crashpoints inside durability
-  // windows, a Supervisor restarts (and may quarantine) the node, and
+  // true: supervised mode — crashes arm plans at stable-store mutation
+  // boundaries, a Supervisor restarts (and may quarantine) the node, and
   // storms hit every link; counts are then timing-dependent, so only the
   // schedule and the invariants are asserted.
   bool supervised = false;

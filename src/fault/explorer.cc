@@ -1,5 +1,6 @@
 #include "src/fault/explorer.h"
 
+#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -7,11 +8,46 @@
 
 #include "src/airline/flight_guardian.h"
 #include "src/airline/types.h"
+#include "src/fault/supervisor.h"
 #include "src/guardian/system.h"
 #include "src/sendprims/remote_call.h"
 
 namespace guardians {
 namespace {
+
+// The explored world. It is seed-deterministic, so every schedule replays
+// the baseline's mutations in the baseline's order up to its crash.
+constexpr uint64_t kSeed = 1979;
+// Clerk operations against flight f1 (reserves with periodic cancels);
+// halfway through, a second persistent flight is created remotely.
+constexpr int kOps = 8;
+// Small so checkpoints happen *inside* the workload window and their
+// mutations are crash boundaries too.
+constexpr int kCheckpointEvery = 3;
+constexpr Micros kOpTimeout = Millis(250);
+constexpr int kOpAttempts = 8;  // retries ride out the supervised restart
+// Every link duplicates this fraction of packets (seed-deterministic), so
+// each schedule also proves the at-most-once layer: duplicates and retries
+// of non-idempotent ops — reserves, cancels, remote creation — must leave
+// no double effects. The mutation order stays deterministic because
+// exactly one copy of a tracked request executes; the rest are suppressed
+// before they reach the store.
+constexpr double kDupProb = 0.05;
+constexpr Micros kVerifyDeadline = Millis(10000);
+
+// Supervisor tuned for explorer turnaround: tight poll, short backoff, and
+// a strike budget one-shot crashes can never exhaust.
+SupervisorConfig FastSupervisor() {
+  SupervisorConfig sc;
+  sc.poll_interval = Millis(2);
+  sc.initial_backoff = Millis(2);
+  sc.max_backoff = Millis(50);
+  sc.rapid_window = Millis(300);
+  // Each schedule crashes once (the trigger latches), so quarantine should
+  // stay out of the way.
+  sc.quarantine_strikes = 8;
+  return sc;
+}
 
 const char* const kDates[] = {"d0", "d1", "d2"};
 constexpr int kNumDates = 3;
@@ -33,23 +69,22 @@ struct CrashWorld {
   std::unique_ptr<Supervisor> supervisor;
 };
 
-FlightConfig MakeFlightConfig(const ExplorerConfig& config,
-                              int64_t flight_no) {
+FlightConfig MakeFlightConfig(int64_t flight_no) {
   FlightConfig fc;
   fc.flight_no = flight_no;
   // Huge so "full"/"wait_list" never muddy the expected-state bookkeeping.
   fc.capacity = 1 << 20;
   fc.organization = FlightOrganization::kOneAtATime;
   fc.logging = true;
-  fc.checkpoint_every = config.checkpoint_every;
+  fc.checkpoint_every = kCheckpointEvery;
   return fc;
 }
 
-Result<std::unique_ptr<CrashWorld>> BuildWorld(const ExplorerConfig& config) {
+Result<std::unique_ptr<CrashWorld>> BuildWorld() {
   SystemConfig sc;
-  sc.seed = config.seed;
+  sc.seed = kSeed;
   sc.default_link.latency = Micros(100);
-  sc.default_link.dup_prob = config.dup_prob;
+  sc.default_link.dup_prob = kDupProb;
   auto world = std::make_unique<CrashWorld>(sc);
   world->region = &world->system.AddNode("region");
   world->client = &world->system.AddNode("client");
@@ -62,13 +97,13 @@ Result<std::unique_ptr<CrashWorld>> BuildWorld(const ExplorerConfig& config) {
   world->clerk = *clerk;
 
   auto f1 = world->region->Create<FlightGuardian>(
-      "flight", "f1", MakeFlightConfig(config, kFlight1).ToArgs(),
+      "flight", "f1", MakeFlightConfig(kFlight1).ToArgs(),
       /*persistent=*/true);
   GUARDIANS_RETURN_IF_ERROR(f1.status());
   world->f1_port = (*f1)->ProvidedPorts()[0];
 
   world->supervisor =
-      std::make_unique<Supervisor>(&world->system, config.supervisor);
+      std::make_unique<Supervisor>(&world->system, FastSupervisor());
   // The client node is the test driver; if it ever went down that would be
   // the harness's bug, not a fault to heal.
   world->supervisor->Ignore(world->client->id());
@@ -91,13 +126,12 @@ struct WorkloadTrace {
 
 // The airline workload every schedule replays: reserves with periodic
 // cancels against f1, a remote persistent creation of f2 halfway through,
-// and a final reserve on f2. Deterministic, so the armed run hits every
-// crashpoint in the same order as the baseline right up to the crash.
-void DriveWorkload(CrashWorld& world, const ExplorerConfig& config,
-                   WorkloadTrace& trace) {
+// and a final reserve on f2. Deterministic, so the armed run makes every
+// mutation in the same order as the baseline right up to the crash.
+void DriveWorkload(CrashWorld& world, WorkloadTrace& trace) {
   RemoteCallOptions options;
-  options.timeout = config.op_timeout;
-  options.max_attempts = config.op_attempts;  // rides out the restart
+  options.timeout = kOpTimeout;
+  options.max_attempts = kOpAttempts;  // rides out the restart
 
   auto call = [&](const PortName& port, const std::string& command,
                   const std::string& passenger,
@@ -122,17 +156,17 @@ void DriveWorkload(CrashWorld& world, const ExplorerConfig& config,
     }
   };
 
-  for (int i = 0; i < config.ops; ++i) {
-    if (i == config.ops / 2) {
-      // Remote persistent creation mid-workload: exercises the
-      // node.persist_creation / persist_next_id sites from the message
-      // path. Creation is not idempotent, but retrying it is: duplicates
-      // are suppressed at the region and creation is keyed by guardian
-      // name there, so the retries converge on one f2.
+  for (int i = 0; i < kOps; ++i) {
+    if (i == kOps / 2) {
+      // Remote persistent creation mid-workload: puts the next-id cell
+      // write and the meta-log append on the message path. Creation is not
+      // idempotent, but retrying it is: duplicates are suppressed at the
+      // region and creation is keyed by guardian name there, so the retries
+      // converge on one f2.
       auto ports = CreateGuardianAt(
           *world.clerk, world.region->PrimordialPort(), "flight", "f2",
-          MakeFlightConfig(config, kFlight2).ToArgs(),
-          /*persistent=*/true, config.op_timeout, config.op_attempts);
+          MakeFlightConfig(kFlight2).ToArgs(),
+          /*persistent=*/true, kOpTimeout, kOpAttempts);
       if (ports.ok() && !ports->empty()) {
         trace.f2_acked = true;
         trace.f2_port = (*ports)[0];
@@ -203,14 +237,13 @@ Status VerifyFlight(CrashWorld& world, const WorkloadTrace& trace,
   return OkStatus();
 }
 
-Status VerifySchedule(CrashWorld& world, const ExplorerConfig& config,
-                      const WorkloadTrace& trace) {
+Status VerifySchedule(CrashWorld& world, const WorkloadTrace& trace) {
   // Wait for the supervisor to bring the region back: the node must be up
   // AND f1 answering (an authorized flight_stats probe round-trips the
   // whole recovered message path).
-  Deadline deadline(config.verify_deadline);
+  Deadline deadline(kVerifyDeadline);
   RemoteCallOptions probe;
-  probe.timeout = config.op_timeout;
+  probe.timeout = kOpTimeout;
   bool alive = false;
   while (!deadline.Expired()) {
     if (world.region->IsUp()) {
@@ -240,16 +273,16 @@ Status VerifySchedule(CrashWorld& world, const ExplorerConfig& config,
   // agree with each other, and with the workload's ack when there was one.
   auto first = CreateGuardianAt(
       *world.clerk, world.region->PrimordialPort(), "flight", "f2",
-      MakeFlightConfig(config, kFlight2).ToArgs(),
-      /*persistent=*/true, config.op_timeout, config.op_attempts);
+      MakeFlightConfig(kFlight2).ToArgs(),
+      /*persistent=*/true, kOpTimeout, kOpAttempts);
   if (!first.ok() || first->empty()) {
     return Fail("post-recovery creation of f2 failed: " +
                 first.status().ToString());
   }
   auto second = CreateGuardianAt(
       *world.clerk, world.region->PrimordialPort(), "flight", "f2",
-      MakeFlightConfig(config, kFlight2).ToArgs(),
-      /*persistent=*/true, config.op_timeout, config.op_attempts);
+      MakeFlightConfig(kFlight2).ToArgs(),
+      /*persistent=*/true, kOpTimeout, kOpAttempts);
   if (!second.ok() || second->empty()) {
     return Fail("repeated creation of f2 failed: " +
                 second.status().ToString());
@@ -264,21 +297,20 @@ Status VerifySchedule(CrashWorld& world, const ExplorerConfig& config,
   return OkStatus();
 }
 
-ScheduleOutcome RunSchedule(const ExplorerConfig& config,
-                            const CrashPlan& plan) {
+ScheduleOutcome RunSchedule(const CrashPlan& plan, const DeviceOp& expected) {
   ScheduleOutcome out;
   out.plan = plan;
-  auto world = BuildWorld(config);
+  auto world = BuildWorld();
   if (!world.ok()) {
     out.verdict = world.status();
     return out;
   }
   FaultInjector& injector = FaultInjector::Instance();
   NodeRuntime* region = (*world)->region;
-  // Arm after the world is built so hit ordinals line up with the baseline
-  // count window. The crash action is BeginCrash only: the faulting thread
-  // takes the node down and unwinds; the supervisor (not the harness)
-  // finishes the crash and restarts the node.
+  // Arm after the world is built so mutation ordinals line up with the
+  // baseline's counting window. The crash action is BeginCrash only: the
+  // faulting thread takes the node down and unwinds; the supervisor (not
+  // the harness) finishes the crash and restarts the node.
   Status armed =
       injector.Arm(plan, region, [region] { region->BeginCrash(); });
   if (!armed.ok()) {
@@ -286,14 +318,20 @@ ScheduleOutcome RunSchedule(const ExplorerConfig& config,
     return out;
   }
   WorkloadTrace trace;
-  DriveWorkload(**world, config, trace);
+  DriveWorkload(**world, trace);
   out.triggered = injector.triggered();
+  out.fired_on = injector.fired_on();
   injector.Disarm();
   out.acked = trace.acked;
-  out.verdict = VerifySchedule(**world, config, trace);
+  out.verdict = VerifySchedule(**world, trace);
   if (out.verdict.ok() && !out.triggered) {
-    out.verdict = Fail("armed crashpoint was never reached (" + plan.point +
-                       " hit " + std::to_string(plan.nth_hit) + ")");
+    out.verdict = Fail("the plan's mutation was never reached (" +
+                       plan.ToString() + ")");
+  }
+  if (out.verdict.ok() && !(out.fired_on == expected)) {
+    out.verdict = Fail(plan.ToString() + " fired on " +
+                       out.fired_on.ToString() + ", the baseline's was " +
+                       expected.ToString());
   }
   Histogram* recovery =
       (*world)->system.metrics().histogram("supervisor.recovery_us");
@@ -306,21 +344,10 @@ ScheduleOutcome RunSchedule(const ExplorerConfig& config,
 
 }  // namespace
 
-SupervisorConfig ExplorerConfig::FastSupervisor() {
-  SupervisorConfig sc;
-  sc.poll_interval = Millis(2);
-  sc.initial_backoff = Millis(2);
-  sc.max_backoff = Millis(50);
-  sc.rapid_window = Millis(300);
-  // Each schedule crashes once (the trigger latches), so quarantine should
-  // stay out of the way even if recovery itself re-trips the site.
-  sc.quarantine_strikes = 8;
-  return sc;
-}
-
 std::string ExplorerReport::Summary() const {
   std::string out = std::to_string(schedules.size()) + " schedules over " +
-                    std::to_string(baseline_hits.size()) + " sites, " +
+                    std::to_string(baseline.size()) + " mutations (" +
+                    std::to_string(appends) + " appends), " +
                     std::to_string(triggered) + " triggered, " +
                     std::to_string(failures) + " failures";
   if (mean_recovery_us > 0) {
@@ -329,25 +356,24 @@ std::string ExplorerReport::Summary() const {
   }
   for (const ScheduleOutcome& s : schedules) {
     if (!s.verdict.ok()) {
-      out += "\n  FAIL " + s.plan.point + " hit " +
-             std::to_string(s.plan.nth_hit) + ": " + s.verdict.ToString();
+      out += "\n  FAIL " + s.plan.ToString() + ": " + s.verdict.ToString();
     }
   }
   return out;
 }
 
-Result<ExplorerReport> ExploreCrashSchedules(const ExplorerConfig& config) {
+Result<ExplorerReport> ExploreCrashSchedules() {
   ExplorerReport report;
 
-  // Baseline: run the workload uninjected, counting every crashpoint hit
-  // attributable to the region node. The counts define the schedule space.
+  // Baseline: run the workload uninjected, recording every mutation the
+  // region node makes. They define the schedule space.
   {
-    auto world = BuildWorld(config);
+    auto world = BuildWorld();
     GUARDIANS_RETURN_IF_ERROR(world.status());
     FaultInjector::Instance().StartCounting((*world)->region);
     WorkloadTrace trace;
-    DriveWorkload(**world, config, trace);
-    report.baseline_hits = FaultInjector::Instance().StopCounting();
+    DriveWorkload(**world, trace);
+    report.baseline = FaultInjector::Instance().StopCounting();
     // The baseline must itself satisfy the invariants, or every schedule's
     // verdict would be noise.
     auto* f1 = dynamic_cast<FlightGuardian*>(
@@ -356,17 +382,18 @@ Result<ExplorerReport> ExploreCrashSchedules(const ExplorerConfig& config) {
       return Status(Code::kInternal, "baseline workload failed");
     }
   }
-  // Every registered site appears in the report, hit or not, so coverage
-  // gaps are visible rather than silently absent.
-  for (const std::string& name : FaultInjector::Instance().SiteNames()) {
-    report.baseline_hits.emplace(name, 0);
-  }
 
   double recovery_sum = 0;
   size_t recovery_n = 0;
-  for (const auto& [point, hits] : report.baseline_hits) {
-    for (uint64_t nth = 1; nth <= hits; ++nth) {
-      ScheduleOutcome out = RunSchedule(config, CrashPlan{point, nth});
+  for (size_t i = 0; i < report.baseline.size(); ++i) {
+    const DeviceOp& op = report.baseline[i];
+    std::vector<CrashWhen> instants = {CrashWhen::kBefore, CrashWhen::kAfter};
+    if (op.kind == Mutation::kAppend) {
+      ++report.appends;
+      instants.push_back(CrashWhen::kTorn);
+    }
+    for (const CrashWhen when : instants) {
+      ScheduleOutcome out = RunSchedule(CrashPlan{i + 1, when}, op);
       if (out.triggered) {
         ++report.triggered;
       }

@@ -1,13 +1,16 @@
 // Crash-schedule explorer: systematic coverage of the §2.2 fault model.
 //
-// A baseline run of an airline workload counts how many times each
-// registered crashpoint is hit by the region node; that yields the full
-// set of (point x hit-ordinal) schedules the workload can reach. The
-// explorer then re-runs the workload once per schedule — enumerated, not
-// sampled — crashing the region node exactly there, letting a Supervisor
-// restart it, and checking the permanence invariants on the recovered
-// state:
+// A baseline run of an airline workload records every stable-store
+// mutation the region node makes, in order. Each one yields a crash just
+// before it and just after it, and each append a third, torn at its
+// midpoint: that is every state a power failure can leave on the device
+// during the workload. The explorer then re-runs the workload once per
+// schedule — enumerated, not sampled — crashing the region node exactly
+// there, letting a Supervisor restart it, and checking the permanence
+// invariants on the recovered state:
 //
+//   - the plan fired on the mutation the baseline recorded for its ordinal
+//     (same kind, same stream or cell), so the ordinals are deterministic,
 //   - every acked operation survives (a reserve acked "ok"/"pre_reserved"
 //     is present after recovery; an acked cancel stays absent),
 //   - no phantoms (every passenger in the recovered db was actually
@@ -20,67 +23,44 @@
 #ifndef GUARDIANS_SRC_FAULT_EXPLORER_H_
 #define GUARDIANS_SRC_FAULT_EXPLORER_H_
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/result.h"
-#include "src/fault/crashpoint.h"
-#include "src/fault/supervisor.h"
+#include "src/fault/fault_injector.h"
 
 namespace guardians {
 
-struct ExplorerConfig {
-  uint64_t seed = 1979;
-  // Clerk operations against flight f1 (reserves with periodic cancels);
-  // halfway through, a second persistent flight is created remotely.
-  int ops = 8;
-  // Small so checkpoints happen *inside* the workload window and the
-  // checkpoint crashpoints get real hits.
-  int checkpoint_every = 3;
-  Micros op_timeout{Millis(250)};
-  int op_attempts = 8;  // retries ride out the supervised restart
-  // Every link duplicates this fraction of packets (seed-deterministic),
-  // so each schedule also proves the at-most-once layer: duplicates and
-  // retries of non-idempotent ops — reserves, cancels, remote creation —
-  // must leave no double effects. Hit counts stay deterministic because
-  // exactly one copy of a tracked request executes; the rest are
-  // suppressed before they reach any journaling site.
-  double dup_prob = 0.05;
-  Micros verify_deadline{Millis(10000)};
-  SupervisorConfig supervisor = FastSupervisor();
-
-  // Supervisor tuned for explorer turnaround: tight poll, short backoff,
-  // and a strike budget one-shot crashes can never exhaust.
-  static SupervisorConfig FastSupervisor();
-};
-
 struct ScheduleOutcome {
   CrashPlan plan;
-  bool triggered = false;      // the armed hit was actually reached
+  bool triggered = false;      // the plan's mutation was actually reached
+  DeviceOp fired_on;           // the mutation it fired on, once triggered
   Status verdict = OkStatus();  // invariant check result
   Micros recovery{0};          // mean supervised Restart() time of the run
   int acked = 0;               // operations the clerk saw acked
 };
 
 struct ExplorerReport {
-  // Per-site hit counts of the baseline run; the schedule space is its sum.
-  std::map<std::string, uint64_t> baseline_hits;
+  // The region node's mutations in the baseline run, in order. The schedule
+  // space is 2 x mutations + appends.
+  std::vector<DeviceOp> baseline;
+  size_t appends = 0;
   std::vector<ScheduleOutcome> schedules;
   size_t triggered = 0;
   size_t failures = 0;
   double mean_recovery_us = 0;
 
-  // "52 schedules over 12 sites, 52 triggered, 0 failures, ..."
+  // "74 schedules over 27 mutations (20 appends), 74 triggered, 0
+  // failures, ..."
   std::string Summary() const;
 };
 
 // Runs the whole enumeration. An error Status means the harness itself
 // could not run (e.g. the baseline run failed verification); per-schedule
 // invariant violations are reported in the outcomes' verdicts.
-Result<ExplorerReport> ExploreCrashSchedules(const ExplorerConfig& config);
+Result<ExplorerReport> ExploreCrashSchedules();
 
 }  // namespace guardians
 

@@ -178,7 +178,7 @@ void Supervisor::HandleDown(NodeId id, NodeRuntime& node) {
   }
 
   // The restart attempt runs outside mu_: it joins guardian threads and
-  // replays logs. Crash() first completes a crashpoint-initiated crash
+  // replays logs. Crash() first completes a crash-plan-initiated crash
   // whose FinishCrash nobody ran yet.
   node.Crash();
   const TimePoint t0 = Now();

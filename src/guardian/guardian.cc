@@ -6,7 +6,7 @@
 #include "src/common/bytes.h"
 #include "src/common/log.h"
 #include "src/common/spin_park.h"
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/guardian/node_runtime.h"
 #include "src/guardian/system.h"
 #include "src/obs/trace.h"
@@ -258,17 +258,17 @@ Result<uint64_t> Guardian::Unseal(const Token& token) const {
 }
 
 void Guardian::Fork(std::string process_name, std::function<void()> body) {
-  // Guardian processes run under the owning node's fault scope, so armed
-  // crashpoints attribute their stable-storage work to the right node; a
-  // triggered crashpoint throws to abandon the doomed operation and must
-  // end the process here rather than escape into std::thread.
+  // Guardian processes run under the owning node's fault scope, so an armed
+  // crash plan attributes their stable-storage work to the right node; a
+  // triggered crash throws to abandon the doomed operation and must end the
+  // process here rather than escape into std::thread.
   NodeRuntime* node = runtime_;
   processes_.Fork(name_ + "/" + process_name,
                   [node, body = std::move(body)] {
                     ScopedFaultScope scope(node);
                     try {
                       body();
-                    } catch (const CrashPointTriggered&) {
+                    } catch (const CrashTriggered&) {
                       // The node is crashing; this process dies with it.
                     }
                   });

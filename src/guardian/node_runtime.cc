@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "src/common/log.h"
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/guardian/system.h"
 #include "src/obs/trace.h"
 #include "src/wire/codec.h"
@@ -16,21 +16,6 @@
 namespace guardians {
 
 namespace {
-
-// The creation-persist path: a crash between handing out a guardian id (or
-// starting the guardian) and logging the creation record must not leave a
-// recoverable half-guardian or reuse an id.
-CrashPoint crash_persist_next_id("node.persist_next_id.before_put");
-CrashPoint crash_persist_creation_before("node.persist_creation.before_log");
-CrashPoint crash_persist_creation_after("node.persist_creation.after_log");
-// The log-reply window of the at-most-once layer: a crash between the
-// guardian producing a reply and that reply being journaled (before) means
-// the retry re-executes — only application idempotence or name-keyed
-// creation covers it; a crash after the journal but before the reply
-// reaches the wire (after) means the sender retries and must be answered
-// from the recovered cache.
-CrashPoint crash_dedup_before_journal("node.dedup.before_journal");
-CrashPoint crash_dedup_after_journal("node.dedup.after_journal");
 
 // See NodeRuntime::SetSkipDedupJournalForTesting: the chaos harness plants
 // this bug to prove its shrinker can find it.
@@ -267,12 +252,12 @@ Result<Guardian*> NodeRuntime::CreateGuardian(const std::string& type_name,
                                               const ValueList& args,
                                               bool persistent) {
   // Creation does stable-storage work for this node, so it runs under this
-  // node's fault scope; a crashpoint firing inside turns into the same
+  // node's fault scope; a crash plan firing inside turns into the same
   // kNodeDown the caller would see racing a real crash.
   ScopedFaultScope scope(this);
   try {
     return CreateGuardianImpl(type_name, guardian_name, args, persistent);
-  } catch (const CrashPointTriggered&) {
+  } catch (const CrashTriggered&) {
     return Status(Code::kNodeDown, "node crashed during guardian creation");
   }
 }
@@ -363,7 +348,7 @@ Status NodeRuntime::DestroyGuardian(GuardianId gid) {
   ScopedFaultScope scope(this);
   try {
     return DestroyGuardianImpl(gid);
-  } catch (const CrashPointTriggered&) {
+  } catch (const CrashTriggered&) {
     return Status(Code::kNodeDown, "node crashed during guardian destruction");
   }
 }
@@ -452,15 +437,11 @@ void NodeRuntime::PersistCreation(const std::string& type_name,
                                 {"name", Value::Str(guardian_name)},
                                 {"id", Value::Int(static_cast<int64_t>(gid))},
                                 {"args", Value::Array(args)}});
-  crash_persist_creation_before.Hit();
   Status st = meta.AppendValue(record);
   if (!st.ok()) {
     GLOG_ERROR << "failed to persist creation of '" << guardian_name
                << "': " << st;
   }
-  // A crash here: the guardian is durably recoverable but its creator
-  // never hears so — the classic logged-but-not-acked window.
-  crash_persist_creation_after.Hit();
 }
 
 void NodeRuntime::PersistNextId() {
@@ -471,7 +452,6 @@ void NodeRuntime::PersistNextId() {
   }
   WireEncoder enc;
   enc.PutU64(next);
-  crash_persist_next_id.Hit();
   Status st = stable_store_.PutCell(kNextIdCell, enc.bytes());
   if (!st.ok()) {
     GLOG_ERROR << "failed to persist next guardian id: " << st;
@@ -516,7 +496,7 @@ void NodeRuntime::BeginCrash() {
 }
 
 void NodeRuntime::FinishCrash() {
-  // A BeginCrash may still be running on another thread (a crashpoint
+  // A BeginCrash may still be running on another thread (a crash plan
   // fires on a guardian thread; Crash()/Restart() come from outside): wait
   // for it to publish kCrashBegun before claiming the cleanup.
   int state = crash_state_.load();
@@ -558,13 +538,13 @@ void NodeRuntime::FinishCrash() {
 }
 
 Status NodeRuntime::Restart() {
-  // Complete any crashpoint-initiated crash first, then boot under this
+  // Complete any crash-plan-initiated crash first, then boot under this
   // node's fault scope (recovery replay is stable-storage work too).
   FinishCrash();
   ScopedFaultScope scope(this);
   try {
     return RestartImpl();
-  } catch (const CrashPointTriggered&) {
+  } catch (const CrashTriggered&) {
     return Status(Code::kNodeDown, "node crashed during recovery");
   }
 }
@@ -1421,7 +1401,6 @@ void NodeRuntime::MaybeJournalReply(Envelope& env) {
                                 reply, record);
   std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
   Wal dedup_log(&stable_store_, kDedupLogName);
-  crash_dedup_before_journal.Hit();
   if (st.ok()) {
     st = dedup_log.Append(record.bytes());
   }
@@ -1429,9 +1408,6 @@ void NodeRuntime::MaybeJournalReply(Envelope& env) {
     GLOG_ERROR << "failed to journal reply for dedup seq " << pending.seq
                << ": " << st;
   }
-  // The logged-but-not-sent window: the reply is durable but the sender
-  // never hears it; the retry must be answered from the recovered cache.
-  crash_dedup_after_journal.Hit();
   if (st.ok()) {
     counters_.dedup_journaled->Inc();
   }

@@ -125,7 +125,7 @@ class NodeRuntime {
   // stop, in-flight traffic to the node is lost. The stable store survives.
   // Equivalent to BeginCrash() + FinishCrash().
   void Crash();
-  // The crash split in two, so a crashpoint firing *on a guardian thread*
+  // The crash split in two, so a crash plan firing *on a guardian thread*
   // can take the node down without self-joining. BeginCrash marks the node
   // down and closes every mailbox (safe from any thread, including the
   // crashing one); FinishCrash joins the processes and retires the dead

@@ -6,8 +6,9 @@ namespace guardians {
 
 Serializer::Serializer(size_t workers) {
   for (size_t i = 0; i < workers; ++i) {
+    Worker* record = records_.emplace_back(std::make_unique<Worker>()).get();
     workers_.Fork("serializer-worker-" + std::to_string(i),
-                  [this] { WorkerLoop(); });
+                  [this, record] { WorkerLoop(*record); });
   }
 }
 
@@ -16,28 +17,36 @@ Serializer::~Serializer() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
+    for (Worker* parked : parked_) {
+      parked->cv.notify_one();
+    }
   }
-  work_cv_.notify_all();
   workers_.JoinAll();
 }
 
 void Serializer::Enqueue(uint64_t key, Task task) {
-  bool runnable;
+  Worker* handed_to = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Behind a busy key or an earlier request for the same key, the request
-    // cannot run yet: the worker that frees the key re-scans the queue
-    // itself, so waking another one here would only find nothing to do.
-    runnable = busy_keys_.count(key) == 0 &&
-               std::none_of(queue_.begin(), queue_.end(),
-                            [key](const Request& r) { return r.key == key; });
-    queue_.push_back(Request{key, std::move(task)});
-    if (queue_.size() > max_queue_depth_) {
-      max_queue_depth_ = queue_.size();
+    // cannot run yet: the worker that frees the key re-scans the queue.
+    const bool runnable =
+        busy_keys_.count(key) == 0 &&
+        std::none_of(queue_.begin(), queue_.end(),
+                     [key](const Request& r) { return r.key == key; });
+    if (runnable && !parked_.empty()) {
+      handed_to = parked_.back();
+      parked_.pop_back();
+      busy_keys_.insert(key);
+      ++running_;
+      handed_to->handed = Request{key, std::move(task)};
+    } else {
+      queue_.push_back(Request{key, std::move(task)});
+      max_queue_depth_ = std::max<uint64_t>(max_queue_depth_, queue_.size());
     }
   }
-  if (runnable) {
-    work_cv_.notify_one();
+  if (handed_to != nullptr) {
+    handed_to->cv.notify_one();
   }
 }
 
@@ -61,66 +70,53 @@ uint64_t Serializer::idle_wakeups() const {
   return idle_wakeups_;
 }
 
-bool Serializer::PopRunnable(Request& out, bool* more_runnable) {
+bool Serializer::PopRunnable(Request& out) {
   // First request in arrival order whose key is available; skipping a busy
   // key preserves per-key FIFO because the skipped request stays in place.
-  // A later request is runnable if its key is neither busy nor the one
-  // just taken.
-  auto taken = queue_.end();
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (busy_keys_.count(it->key) != 0) {
-      continue;
-    }
-    if (taken == queue_.end()) {
-      taken = it;
-    } else if (it->key != taken->key) {
-      *more_runnable = true;
-      break;
-    }
-  }
-  if (taken == queue_.end()) {
+  auto it = std::find_if(queue_.begin(), queue_.end(), [this](const Request& r) {
+    return busy_keys_.count(r.key) == 0;
+  });
+  if (it == queue_.end()) {
     return false;
   }
-  out = std::move(*taken);
-  queue_.erase(taken);
+  out = std::move(*it);
+  queue_.erase(it);
   busy_keys_.insert(out.key);
   ++running_;
   return true;
 }
 
-void Serializer::WorkerLoop() {
+void Serializer::WorkerLoop(Worker& self) {
   std::unique_lock<std::mutex> lock(mu_);
-  bool woken = false;
   for (;;) {
     Request request;
-    bool more_runnable = false;
-    if (PopRunnable(request, &more_runnable)) {
-      // A second runnable request (say, the queued request of the key this
-      // worker just freed, when it took an earlier one) goes to a sleeping
-      // worker; the rest of the queue waits for a key to free.
-      if (more_runnable) {
-        work_cv_.notify_one();
+    if (!PopRunnable(request)) {
+      if (stopping_) {
+        return;
       }
-      lock.unlock();
-      request.task();
-      lock.lock();
-      busy_keys_.erase(request.key);
-      --running_;
-      ++executed_;
-      if (queue_.empty() && running_ == 0) {
-        drain_cv_.notify_all();
+      parked_.push_back(&self);
+      while (!self.handed.has_value() && !stopping_) {
+        self.cv.wait(lock);
+        if (!self.handed.has_value() && !stopping_) {
+          ++idle_wakeups_;
+        }
       }
-      woken = false;
-      continue;  // this worker re-scans for the next request itself
+      if (!self.handed.has_value()) {
+        return;  // stopping; nothing hands to a stopped serializer
+      }
+      request = std::move(*self.handed);
+      self.handed.reset();
     }
-    if (stopping_) {
-      return;
+    lock.unlock();
+    request.task();
+    lock.lock();
+    busy_keys_.erase(request.key);
+    --running_;
+    ++executed_;
+    if (queue_.empty() && running_ == 0) {
+      drain_cv_.notify_all();
     }
-    if (woken) {
-      ++idle_wakeups_;
-    }
-    work_cv_.wait(lock);
-    woken = true;
+    // This worker re-scans the queue for the next request itself.
   }
 }
 

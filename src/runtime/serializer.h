@@ -5,7 +5,10 @@
 //
 // Requests carry a resource key. Requests for the same key execute strictly
 // in arrival order, one at a time; requests for distinct keys execute
-// concurrently on the worker processes q_i.
+// concurrently on the worker processes q_i. A request that can run when it
+// arrives is handed straight to one parked worker, by name: the worker it
+// wakes always has a request in hand. The rest wait in the queue for the
+// worker that frees their key.
 #ifndef GUARDIANS_SRC_RUNTIME_SERIALIZER_H_
 #define GUARDIANS_SRC_RUNTIME_SERIALIZER_H_
 
@@ -13,8 +16,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
+#include <vector>
 
 #include "src/runtime/process.h"
 
@@ -41,7 +47,7 @@ class Serializer {
 
   uint64_t executed() const;
   uint64_t max_queue_depth() const;
-  // Times a worker woke and found nothing it could run.
+  // Times a parked worker woke with nothing handed to it.
   uint64_t idle_wakeups() const;
 
  private:
@@ -49,17 +55,23 @@ class Serializer {
     uint64_t key;
     Task task;
   };
+  // A worker's wait record: parked, it sleeps on its own condition variable
+  // until Enqueue puts a request in `handed` or the serializer stops.
+  struct Worker {
+    std::condition_variable cv;
+    std::optional<Request> handed;
+  };
 
-  void WorkerLoop();
-  // Pops the first runnable request (whose key is not busy) under mu_, and
-  // sets *more_runnable when another request could run beside it.
-  bool PopRunnable(Request& out, bool* more_runnable);
+  void WorkerLoop(Worker& self);
+  // Pops the first queued request whose key is not busy, under mu_.
+  bool PopRunnable(Request& out);
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for runnable requests
   std::condition_variable drain_cv_;  // Drain/dtor wait for quiescence
-  std::deque<Request> queue_;
+  std::deque<Request> queue_;         // requests handed to no worker
   std::unordered_set<uint64_t> busy_keys_;
+  std::vector<std::unique_ptr<Worker>> records_;  // one per worker
+  std::vector<Worker*> parked_;  // the last to park is handed the next
   size_t running_ = 0;
   bool stopping_ = false;
   uint64_t executed_ = 0;

@@ -1,53 +1,56 @@
 #include "src/store/stable_store.h"
 
-#include <thread>
+#include <optional>
 
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 
 namespace guardians {
 
-namespace {
-// A crash inside the media write itself: the first half of the data is on
-// the device, the rest never arrives — the torn tail the WAL's framing
-// must tolerate.
-CrashPoint crash_store_append_partial("store.append.partial");
-}  // namespace
-
-Status StableStore::FailedLocked() const {
-  return failed_ ? Status(Code::kStorageError, "stable storage device failed")
-                 : OkStatus();
+template <typename Apply>
+Status StableStore::Mutate(Mutation kind, const std::string& name,
+                           Apply apply) {
+  // The device's fault hook: one relaxed load unless a plan is armed or a
+  // window is counting.
+  std::optional<ScheduledCrash> crash;
+  if (FaultInjectionActive()) {
+    crash = FaultInjector::Instance().OnMutation(kind, name);
+  }
+  // Only an append can tear; every other mutation is atomic, so a crash
+  // inside it is a crash before it.
+  const CrashWhen when =
+      crash.has_value() ? crash->what.plan.when : CrashWhen::kAfter;
+  const bool torn = when == CrashWhen::kTorn && kind == Mutation::kAppend;
+  if (crash.has_value() && when != CrashWhen::kAfter && !torn) {
+    crash->Fire();
+  }
+  Status status;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    status = failed_ ? Status(Code::kStorageError,
+                              "stable storage device failed")
+                     : apply(torn);
+  }
+  if (crash.has_value()) {
+    crash->Fire();
+  }
+  return status;
 }
 
 Status StableStore::Append(const std::string& name, const Bytes& data) {
-  // While the fault layer is active the write lands in two halves with a
-  // crashpoint between them, so an armed crash leaves a torn tail exactly
-  // as a power failure mid-write would. Each stream has a single writer
-  // (its guardian's WAL), so the split is unobservable without a crash.
-  // Inactive (the normal case), it is the plain single insert.
-  const bool two_phase = FaultInjectionActive() && data.size() > 1;
-  const size_t first_half = two_phase ? data.size() / 2 : data.size();
   Micros latency{0};
   const ClockSource* clock = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-    clock = clock_;
-    Bytes& stream = streams_[name];
-    stream.insert(stream.end(), data.begin(), data.begin() + first_half);
-    if (!two_phase) {
-      ++append_count_;
-      latency = write_latency_;
-    }
-  }
-  if (two_phase) {
-    crash_store_append_partial.Hit();
-    std::lock_guard<std::mutex> lock(mu_);
-    GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-    Bytes& stream = streams_[name];
-    stream.insert(stream.end(), data.begin() + first_half, data.end());
-    ++append_count_;
-    latency = write_latency_;
-  }
+  GUARDIANS_RETURN_IF_ERROR(
+      Mutate(Mutation::kAppend, name, [&](bool torn) {
+        // A torn append lands its first half only: the tail a power
+        // failure mid-write leaves, which the WAL's framing must tolerate.
+        const size_t lands = torn ? data.size() / 2 : data.size();
+        Bytes& stream = streams_[name];
+        stream.insert(stream.end(), data.begin(), data.begin() + lands);
+        ++append_count_;
+        latency = write_latency_;
+        clock = clock_;
+        return OkStatus();
+      }));
   if (latency.count() > 0) {
     // Model the synchronous wait for the write to reach stable media.
     (clock != nullptr ? clock : WallClock::Get())->SleepFor(latency);
@@ -68,30 +71,30 @@ size_t StableStore::StreamSize(const std::string& name) const {
 }
 
 Status StableStore::Truncate(const std::string& name, size_t new_size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-  auto it = streams_.find(name);
-  if (it == streams_.end()) {
-    return Status(Code::kNotFound, "no stream '" + name + "'");
-  }
-  if (new_size < it->second.size()) {
-    it->second.resize(new_size);
-  }
-  return OkStatus();
+  return Mutate(Mutation::kTruncate, name, [&](bool) {
+    auto it = streams_.find(name);
+    if (it == streams_.end()) {
+      return Status(Code::kNotFound, "no stream '" + name + "'");
+    }
+    if (new_size < it->second.size()) {
+      it->second.resize(new_size);
+    }
+    return OkStatus();
+  });
 }
 
 Status StableStore::Delete(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-  streams_.erase(name);
-  return OkStatus();
+  return Mutate(Mutation::kDelete, name, [&](bool) {
+    streams_.erase(name);
+    return OkStatus();
+  });
 }
 
 Status StableStore::PutCell(const std::string& name, Bytes data) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-  cells_[name] = std::move(data);
-  return OkStatus();
+  return Mutate(Mutation::kPutCell, name, [&](bool) {
+    cells_[name] = std::move(data);
+    return OkStatus();
+  });
 }
 
 Result<Bytes> StableStore::GetCell(const std::string& name) const {
@@ -104,10 +107,10 @@ Result<Bytes> StableStore::GetCell(const std::string& name) const {
 }
 
 Status StableStore::DeleteCell(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GUARDIANS_RETURN_IF_ERROR(FailedLocked());
-  cells_.erase(name);
-  return OkStatus();
+  return Mutate(Mutation::kDeleteCell, name, [&](bool) {
+    cells_.erase(name);
+    return OkStatus();
+  });
 }
 
 std::vector<std::string> StableStore::ListStreams() const {

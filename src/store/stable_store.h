@@ -5,7 +5,10 @@
 // The device is a set of named append-only byte streams plus small named
 // cells (for node metadata such as the persistent-guardian table). A node
 // crash destroys every guardian's volatile objects but leaves the
-// StableStore intact; fault-injection hooks simulate torn tail writes.
+// StableStore intact. Every mutation is a fault-injection boundary
+// (src/fault/fault_injector.h): an armed crash plan lands just before one,
+// just after it, or inside an append, leaving the torn tail a power failure
+// mid-write would.
 //
 // Synchronous append latency is configurable: logging to stable storage is
 // the dominant cost of permanence, and the ROBUST experiment measures it.
@@ -23,6 +26,8 @@
 #include "src/common/result.h"
 
 namespace guardians {
+
+enum class Mutation : uint8_t;  // src/fault/fault_injector.h
 
 class StableStore {
  public:
@@ -67,7 +72,11 @@ class StableStore {
   uint64_t append_count() const;
 
  private:
-  Status FailedLocked() const;
+  // Every mutation runs here: the fault hook, then apply(torn) under mu_
+  // unless the device has failed. `torn` asks an append to land only its
+  // first half.
+  template <typename Apply>
+  Status Mutate(Mutation kind, const std::string& name, Apply apply);
 
   const ClockSource* clock_ = nullptr;  // null: wall clock
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/fault/crashpoint.h"
 #include "src/wire/codec.h"
 #include "src/wire/crc32.h"
 #include "src/wire/value_codec.h"
@@ -10,15 +9,6 @@
 namespace guardians {
 
 namespace {
-
-// The schedulable power failures of the commit path. A record is the
-// guardian's effect; the paper's claim is that recovery is consistent no
-// matter which of these the crash lands on.
-CrashPoint crash_append_before("wal.append.before_frame");
-CrashPoint crash_append_after("wal.append.after_frame");
-CrashPoint crash_checkpoint_before("wal.checkpoint.before_snapshot");
-CrashPoint crash_checkpoint_mid("wal.checkpoint.after_snapshot");
-CrashPoint crash_checkpoint_after("wal.checkpoint.after_truncate");
 
 Bytes EncodeU64Le(uint64_t v) {
   Bytes out(8);
@@ -42,7 +32,6 @@ Wal::Wal(StableStore* store, std::string name)
     : store_(store), name_(std::move(name)) {}
 
 Status Wal::Append(const Bytes& payload) {
-  crash_append_before.Hit();
   // One pre-sized frame: header and payload go into a single buffer
   // instead of encoding the header and then splicing the payload after it.
   WireEncoder enc;
@@ -51,7 +40,6 @@ Status Wal::Append(const Bytes& payload) {
   enc.PutU32(Crc32(payload));
   enc.PutBytes(payload);
   GUARDIANS_RETURN_IF_ERROR(store_->Append(LogStream(), enc.Take()));
-  crash_append_after.Hit();
   appended_.fetch_add(1);
   return OkStatus();
 }
@@ -68,7 +56,6 @@ uint64_t Wal::CommittedEpoch() const {
 }
 
 Status Wal::Checkpoint(Bytes snapshot) {
-  crash_checkpoint_before.Hit();
   const uint64_t epoch = CommittedEpoch() + 1;
   // The cell is [u64 epoch][snapshot], built in the snapshot's own buffer.
   const size_t size = snapshot.size();
@@ -78,12 +65,10 @@ Status Wal::Checkpoint(Bytes snapshot) {
   const Bytes epoch_le = EncodeU64Le(epoch);
   std::copy(epoch_le.begin(), epoch_le.end(), snapshot.begin());
   GUARDIANS_RETURN_IF_ERROR(store_->PutCell(SnapCell(), std::move(snapshot)));
-  crash_checkpoint_mid.Hit();
   Status truncated = store_->Truncate(LogStream(), 0);
   if (!truncated.ok() && truncated.code() != Code::kNotFound) {
     return truncated;  // kNotFound just means nothing was ever appended
   }
-  crash_checkpoint_after.Hit();
   return store_->PutCell(EpochCell(), EncodeU64Le(epoch));
 }
 

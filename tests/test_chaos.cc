@@ -30,7 +30,7 @@ namespace {
 
 bool SameEvent(const ChaosEvent& a, const ChaosEvent& b) {
   return a.kind == b.kind && a.epoch == b.epoch && a.a == b.a && a.b == b.b &&
-         a.crash_point == b.crash_point && a.nth_hit == b.nth_hit &&
+         a.crash_plan == b.crash_plan &&
          a.storm.drop_prob == b.storm.drop_prob &&
          a.storm.dup_prob == b.storm.dup_prob &&
          a.storm.corrupt_prob == b.storm.corrupt_prob &&

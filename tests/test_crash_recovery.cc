@@ -3,11 +3,12 @@
 // crash/restart cycles with fault injection.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "src/airline/flight_guardian.h"
 #include "src/bank/account_guardian.h"
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/guardian/system.h"
 #include "src/sendprims/remote_call.h"
 
@@ -128,24 +129,41 @@ TEST_F(CrashTest, CrashInsideDestroysLogRewriteKeepsTheOtherGuardians) {
   // then re-appended every other guardian's creation record, so a crash
   // between the two forgot every persistent guardian on the node. The
   // kept records are now the checkpoint's snapshot, installed in one
-  // crash-atomic step.
-  const GuardianId keep =
-      (*node_->Create<ShellGuardian>("shell", "keep", {}, true))->id();
-  const GuardianId doomed =
-      (*node_->Create<ShellGuardian>("shell", "doomed", {}, true))->id();
+  // crash-atomic step. The crash lands on every device boundary of the
+  // rewrite: before and after each of the checkpoint's mutations.
+  const char* const kRewrite[] = {"put_cell node/meta.snap",
+                                   "truncate node/meta.log",
+                                   "put_cell node/meta.epoch"};
   NodeRuntime* node = node_;
-  ASSERT_TRUE(FaultInjector::Instance()
-                  .Arm({"wal.checkpoint.after_truncate", 1}, node,
-                       [node] { node->BeginCrash(); })
-                  .ok());
-  const Status destroyed = node_->DestroyGuardian(doomed);
-  const bool fired = FaultInjector::Instance().triggered();
-  FaultInjector::Instance().Disarm();
-  ASSERT_TRUE(fired);
-  EXPECT_EQ(destroyed.code(), Code::kNodeDown);
-  ASSERT_TRUE(node_->Restart().ok());
-  EXPECT_NE(node_->FindGuardian(keep), nullptr);
-  EXPECT_EQ(node_->FindGuardian(doomed), nullptr);
+  for (uint64_t mutation = 1; mutation <= 3; ++mutation) {
+    for (const CrashWhen when : {CrashWhen::kBefore, CrashWhen::kAfter}) {
+      const CrashPlan plan{mutation, when};
+      SCOPED_TRACE(plan.ToString());
+      const std::string tag = plan.ToString();
+      const GuardianId keep =
+          (*node_->Create<ShellGuardian>("shell", "keep " + tag, {}, true))
+              ->id();
+      const GuardianId doomed =
+          (*node_->Create<ShellGuardian>("shell", "doomed " + tag, {}, true))
+              ->id();
+      ASSERT_TRUE(FaultInjector::Instance()
+                      .Arm(plan, node, [node] { node->BeginCrash(); })
+                      .ok());
+      const Status destroyed = node_->DestroyGuardian(doomed);
+      const bool fired = FaultInjector::Instance().triggered();
+      const DeviceOp fired_on = FaultInjector::Instance().fired_on();
+      FaultInjector::Instance().Disarm();
+      ASSERT_TRUE(fired);
+      EXPECT_EQ(fired_on.ToString(), kRewrite[mutation - 1]);
+      EXPECT_EQ(destroyed.code(), Code::kNodeDown);
+      ASSERT_TRUE(node_->Restart().ok());
+      EXPECT_NE(node_->FindGuardian(keep), nullptr);
+      // The destroy is durable once the snapshot is on the device.
+      const bool destroyed_durably =
+          mutation > 1 || when == CrashWhen::kAfter;
+      EXPECT_EQ(node_->FindGuardian(doomed) == nullptr, destroyed_durably);
+    }
+  }
 }
 
 TEST_F(CrashTest, DestroyOnAFailedStoreReportsItAndKeepsTheGuardian) {

@@ -7,11 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "src/airline/flight_guardian.h"
 #include "src/airline/types.h"
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/guardian/port.h"
 #include "src/guardian/system.h"
 #include "src/sendprims/reliable_send.h"
@@ -445,62 +446,83 @@ TEST_F(DedupSystemTest, CrashInsideCompactionKeepsTheLiveReplies) {
   // live reply cache, so a crash between the two emptied the journal: a
   // retry of an operation answered just before the crash re-executed. The
   // live records are now the checkpoint's snapshot, installed in one
-  // crash-atomic step.
+  // crash-atomic step. The crash lands on every device boundary of the
+  // compaction: before and after each of the checkpoint's mutations, which
+  // follow the triggering reply's own journal append.
   auto flight = region_->Create<FlightGuardian>(
       "flight", "f3", MakeFlight(3, 1 << 10).ToArgs(), /*persistent=*/true);
   ASSERT_TRUE(flight.ok());
   const PortName flight_port = (*flight)->ProvidedPorts()[0];
-  Port* counter = server_->AddPort(CounterPortType(), 16);
-  server_->Fork("counter", [this, counter] {
-    for (;;) {
-      auto request = server_->Receive(counter, Micros::max());
-      if (!request.ok()) {
-        return;
-      }
-      (void)server_->Send(request->reply_to, "val", {Value::Int(0)});
-    }
-  });
-  const uint64_t fillers = NodeRuntime::kDedupCompactEvery - 2;
-  for (uint64_t i = 0; i < fillers; ++i) {
-    auto reply = RemoteCall(*client_, counter->name(), "inc", {},
-                            CounterReplyType());
-    ASSERT_TRUE(reply.ok()) << "filler " << i << ": " << reply.status();
-  }
-  // One reserve answered before the compaction...
   Port* reply_port = client_->AddPort(ReservationReplyType(), 8);
-  const uint64_t seq = client_node_->NextDedupSeq();
-  auto send = [&] {
-    return client_->SendFull(flight_port, "reserve",
-                             {Value::Str("p0"), Value::Str("d0")},
-                             reply_port->name(), PortName{}, seq);
-  };
-  ASSERT_TRUE(send().ok());
-  auto first = client_->Receive(reply_port, Millis(2000));
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->command, "ok");
-  // ...and the reply whose journaling compacts, crashing right after the
-  // checkpoint's truncate.
+  const char* const kCompaction[] = {"put_cell node/dedup.snap",
+                                     "truncate node/dedup.log",
+                                     "put_cell node/dedup.epoch"};
   NodeRuntime* region = region_;
-  ASSERT_TRUE(FaultInjector::Instance()
-                  .Arm({"wal.checkpoint.after_truncate", 1}, region,
-                       [region] { region->BeginCrash(); })
-                  .ok());
-  RemoteCallOptions once;
-  once.timeout = Millis(300);
-  once.max_attempts = 1;
-  auto trigger = RemoteCall(*client_, counter->name(), "inc", {},
-                            CounterReplyType(), once);
-  EXPECT_FALSE(trigger.ok());
-  const bool fired = FaultInjector::Instance().triggered();
-  FaultInjector::Instance().Disarm();
-  ASSERT_TRUE(fired);
+  uint64_t round = 0;
+  for (uint64_t step = 1; step <= 3; ++step) {
+    for (const CrashWhen when : {CrashWhen::kBefore, CrashWhen::kAfter}) {
+      const CrashPlan plan{1 + step, when};
+      SCOPED_TRACE(plan.ToString());
+      ++round;
+      // The crash takes each round's (volatile) counter guardian with it.
+      Guardian* server = *region_->Create<ShellGuardian>(
+          "shell", "server" + std::to_string(round), {});
+      Port* counter = server->AddPort(CounterPortType(), 16);
+      server->Fork("counter", [server, counter] {
+        for (;;) {
+          auto request = server->Receive(counter, Micros::max());
+          if (!request.ok()) {
+            return;
+          }
+          (void)server->Send(request->reply_to, "val", {Value::Int(0)});
+        }
+      });
+      // Every round starts right after a compaction.
+      const uint64_t fillers = NodeRuntime::kDedupCompactEvery - 2;
+      for (uint64_t i = 0; i < fillers; ++i) {
+        auto reply = RemoteCall(*client_, counter->name(), "inc", {},
+                                CounterReplyType());
+        ASSERT_TRUE(reply.ok()) << "filler " << i << ": " << reply.status();
+      }
+      // One reserve answered before the compaction...
+      const std::string passenger = "p" + std::to_string(round);
+      const uint64_t seq = client_node_->NextDedupSeq();
+      auto send = [&] {
+        return client_->SendFull(flight_port, "reserve",
+                                 {Value::Str(passenger), Value::Str("d0")},
+                                 reply_port->name(), PortName{}, seq);
+      };
+      ASSERT_TRUE(send().ok());
+      auto first = client_->Receive(reply_port, Millis(2000));
+      ASSERT_TRUE(first.ok());
+      EXPECT_EQ(first->command, "ok");
+      // ...and the reply whose journaling compacts, crashing at the plan.
+      ASSERT_TRUE(FaultInjector::Instance()
+                      .Arm(plan, region, [region] { region->BeginCrash(); })
+                      .ok());
+      RemoteCallOptions once;
+      once.timeout = Millis(300);
+      once.max_attempts = 1;
+      auto trigger = RemoteCall(*client_, counter->name(), "inc", {},
+                                CounterReplyType(), once);
+      EXPECT_FALSE(trigger.ok());
+      const bool fired = FaultInjector::Instance().triggered();
+      const DeviceOp fired_on = FaultInjector::Instance().fired_on();
+      FaultInjector::Instance().Disarm();
+      ASSERT_TRUE(fired);
+      EXPECT_EQ(fired_on.ToString(), kCompaction[step - 1]);
 
-  ASSERT_TRUE(region_->Restart().ok());
-  ASSERT_TRUE(send().ok());
-  auto retried = client_->Receive(reply_port, Millis(5000));
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(retried->command, "ok") << "the reserve re-executed";
-  EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"), 1u);
+      const uint64_t replayed =
+          system_.metrics().CounterValue("deliver.dup.replayed");
+      ASSERT_TRUE(region_->Restart().ok());
+      ASSERT_TRUE(send().ok());
+      auto retried = client_->Receive(reply_port, Millis(5000));
+      ASSERT_TRUE(retried.ok());
+      EXPECT_EQ(retried->command, "ok") << "the reserve re-executed";
+      EXPECT_EQ(system_.metrics().CounterValue("deliver.dup.replayed"),
+                replayed + 1);
+    }
+  }
 }
 
 TEST_F(DedupSystemTest, FailedJournalAppendIsNotCountedAsJournaled) {

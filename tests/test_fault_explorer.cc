@@ -1,56 +1,36 @@
-// The crash-schedule explorer: every registered crashpoint, at every hit
-// ordinal the airline workload reaches, is a schedule; §2.2 permanence
-// must hold after supervised recovery from each one.
+// The crash-schedule explorer: every mutation the region node makes in the
+// airline workload, crashed just before it, just after it and (appends)
+// torn inside it, is a schedule; §2.2 permanence must hold after
+// supervised recovery from each one.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "src/fault/crashpoint.h"
 #include "src/fault/explorer.h"
+#include "src/fault/fault_injector.h"
 
 namespace guardians {
 namespace {
 
-TEST(CrashpointTest, RegistryCoversEveryStorageLayer) {
-  const std::vector<std::string> sites = FaultInjector::Instance().SiteNames();
-  EXPECT_GE(sites.size(), 10u);
-  // One representative per layer: device, log, checkpoint, node meta-state,
-  // application log-then-reply.
-  for (const char* site :
-       {"store.append.partial", "wal.append.before_frame",
-        "wal.checkpoint.after_snapshot", "node.persist_creation.before_log",
-        "flight.reserve.after_log"}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
-        << site;
-  }
-}
-
-TEST(CrashpointTest, ArmValidatesThePlan) {
+TEST(FaultInjectorTest, ArmValidatesThePlan) {
   FaultInjector& injector = FaultInjector::Instance();
-  EXPECT_EQ(injector.Arm({"no.such.site", 1}, nullptr, nullptr).code(),
-            Code::kNotFound);
-  EXPECT_EQ(injector.Arm({"store.append.partial", 0}, nullptr, nullptr)
-                .code(),
+  EXPECT_EQ(injector.Arm({0, CrashWhen::kBefore}, nullptr, nullptr).code(),
             Code::kInvalidArgument);
-  ASSERT_TRUE(injector.Arm({"store.append.partial", 1}, nullptr, nullptr)
-                  .ok());
+  ASSERT_TRUE(injector.Arm({1, CrashWhen::kTorn}, nullptr, nullptr).ok());
   // Double-arming is a harness bug, not a race to silently resolve.
-  EXPECT_EQ(injector.Arm({"wal.append.before_frame", 1}, nullptr, nullptr)
-                .code(),
+  EXPECT_EQ(injector.Arm({1, CrashWhen::kAfter}, nullptr, nullptr).code(),
             Code::kInvalidArgument);
   injector.Disarm();
 }
 
-TEST(CrashpointTest, LayerIsInactiveUnlessCountingOrArmed) {
-  // The hot-path gate every Hit() checks: off by default, on only inside a
-  // counting window or while a plan is armed.
+TEST(FaultInjectorTest, LayerIsInactiveUnlessCountingOrArmed) {
+  // The gate every StableStore mutation checks: off by default, on only
+  // inside a counting window or while a plan is armed.
   EXPECT_FALSE(FaultInjectionActive());
   FaultInjector::Instance().StartCounting(nullptr);
   EXPECT_TRUE(FaultInjectionActive());
   FaultInjector::Instance().StopCounting();
   EXPECT_FALSE(FaultInjectionActive());
   ASSERT_TRUE(FaultInjector::Instance()
-                  .Arm({"store.append.partial", 1}, nullptr, nullptr)
+                  .Arm({1, CrashWhen::kBefore}, nullptr, nullptr)
                   .ok());
   EXPECT_TRUE(FaultInjectionActive());
   FaultInjector::Instance().Disarm();
@@ -58,31 +38,38 @@ TEST(CrashpointTest, LayerIsInactiveUnlessCountingOrArmed) {
 }
 
 TEST(CrashExplorerTest, EverySchedulePreservesPermanence) {
-  ExplorerConfig config;
-  auto report = ExploreCrashSchedules(config);
+  auto report = ExploreCrashSchedules();
   ASSERT_TRUE(report.ok()) << report.status();
 
-  // Exhaustiveness: every registered site appears, the workload exercises
-  // every one of them, and there is one schedule per (site, hit).
-  const std::vector<std::string> sites = FaultInjector::Instance().SiteNames();
-  EXPECT_GE(sites.size(), 10u);
-  uint64_t schedule_space = 0;
-  for (const std::string& site : sites) {
-    auto it = report->baseline_hits.find(site);
-    ASSERT_NE(it, report->baseline_hits.end()) << site;
-    EXPECT_GT(it->second, 0u) << "workload never reaches " << site;
-    schedule_space += it->second;
+  // Exhaustiveness: the workload's mutations include every kind of write
+  // its durability rests on (log appends, checkpoint cells, the truncate),
+  // and there is one schedule per instant: before and after each mutation,
+  // and torn inside each append.
+  size_t appends = 0;
+  size_t cells = 0;
+  size_t truncates = 0;
+  for (const DeviceOp& op : report->baseline) {
+    appends += op.kind == Mutation::kAppend ? 1 : 0;
+    cells += op.kind == Mutation::kPutCell ? 1 : 0;
+    truncates += op.kind == Mutation::kTruncate ? 1 : 0;
   }
-  EXPECT_EQ(report->schedules.size(), schedule_space);
+  EXPECT_GT(appends, 0u);
+  EXPECT_GT(cells, 0u);
+  EXPECT_GT(truncates, 0u);
+  EXPECT_EQ(report->appends, appends);
+  EXPECT_EQ(report->schedules.size(),
+            2 * report->baseline.size() + report->appends);
 
-  // Every armed crash actually fired, and every recovery satisfied the
-  // §2.2 invariants.
+  // Every armed crash fired, on the mutation the baseline recorded for its
+  // ordinal, and every recovery satisfied the §2.2 invariants.
   EXPECT_EQ(report->triggered, report->schedules.size());
   EXPECT_EQ(report->failures, 0u) << report->Summary();
   for (const ScheduleOutcome& s : report->schedules) {
-    EXPECT_TRUE(s.triggered) << s.plan.point << " hit " << s.plan.nth_hit;
-    EXPECT_TRUE(s.verdict.ok())
-        << s.plan.point << " hit " << s.plan.nth_hit << ": " << s.verdict;
+    EXPECT_TRUE(s.triggered) << s.plan.ToString();
+    ASSERT_LE(s.plan.mutation, report->baseline.size());
+    EXPECT_EQ(s.fired_on, report->baseline[s.plan.mutation - 1])
+        << s.plan.ToString() << " fired on " << s.fired_on.ToString();
+    EXPECT_TRUE(s.verdict.ok()) << s.plan.ToString() << ": " << s.verdict;
   }
 }
 

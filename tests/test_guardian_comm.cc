@@ -4,6 +4,7 @@
 // port names.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -396,14 +397,30 @@ void BusyWait(Micros d) {
   }
 }
 
+// What one receiver knew as its latest receive began: when, and the moving
+// average of its recent waits, which its wait compares with the spin
+// budget. Written by the receiver; read once the crash has joined it.
+struct ReceiveStart {
+  TimePoint at;
+  Clock::duration recent_wait{0};
+};
+
 // Forks one receiver per port, each taking messages off its own port until
-// its node goes down; counts what they take and their kNodeDown returns.
+// its node goes down; counts the receives they begin, what they take and
+// their kNodeDown returns, and records each one's latest ReceiveStart in
+// `starts` (one per port).
 void ForkReceivers(Guardian* guardian, const std::vector<Port*>& ports,
-                   std::atomic<int>* taken, std::atomic<int>* node_down) {
+                   std::atomic<int>* begun, std::atomic<int>* taken,
+                   std::atomic<int>* node_down,
+                   std::vector<ReceiveStart>* starts) {
+  starts->assign(ports.size(), ReceiveStart{});
   for (size_t i = 0; i < ports.size(); ++i) {
     Port* port = ports[i];
+    ReceiveStart* start = &(*starts)[i];
     guardian->Fork("r" + std::to_string(i), [=] {
       for (;;) {
+        *start = ReceiveStart{Now(), internal::RecentWait()};
+        begun->fetch_add(1);
         auto message = guardian->Receive(port, Micros::max());
         if (!message.ok()) {
           if (message.status().code() == Code::kNodeDown) {
@@ -424,34 +441,48 @@ struct CrashOnExit {
   ~CrashOnExit() { node->Crash(); }
 };
 
-// Pushes to `ports` round robin for `rounds` rounds, `gap` apart per
-// round: every receiver's waits stay short, so after a dozen of them it
-// spins. Returns the pushes accepted.
-int Feed(const std::vector<Port*>& ports, int rounds, Micros gap) {
+// Feeds `ports` in lockstep for `rounds` rounds: one message to each, then
+// `gap` after the receivers have taken them all, so each receiver waits
+// about that long for its next one; after a dozen such waits it spins.
+// Returns the pushes accepted, or -1 if the receivers stopped taking.
+int Feed(const std::vector<Port*>& ports, const std::atomic<int>& taken,
+         int rounds, Micros gap) {
   int pushed = 0;
   for (int r = 0; r < rounds; ++r) {
+    BusyWait(gap);
     for (Port* port : ports) {
       pushed += port->Push(Put(r)) == PushResult::kOk ? 1 : 0;
     }
-    BusyWait(gap);
+    if (!Eventually([&] { return taken.load() == pushed; })) {
+      return -1;
+    }
   }
   return pushed;
 }
 
 TEST_F(CommTest, CrashReturnsNodeDownToSpinningAndParkedReceivers) {
   // Sixteen receivers of one guardian, each on a port of its own. Twelve
-  // sleepers get nothing and park. Four runners are fed until their waits
-  // are short enough to spin, and the crash comes as they spin in their
-  // next wait, after their last message. The crash must return kNodeDown
-  // to all sixteen. A wait the crash ends mid-spin counts as spun, so the
-  // counters say which kinds it met. Catching a runner mid-spin is a race
-  // with the 30 us budget, so each attempt crashes a fresh guardian, up to
-  // five.
+  // sleepers get nothing and park. Four runners are fed in lockstep until
+  // their waits are short enough to spin, and the crash comes as they wait
+  // for their next message. The crash must return kNodeDown to all
+  // sixteen. A wait the crash ends mid-spin counts as spun, so the counters
+  // say which kinds it met.
+  //
+  // Catching a runner mid-spin is a race with the 30 us budget, so each
+  // attempt crashes a fresh guardian, up to five. Each measures its own
+  // premise from the runners, without asking the spin decision: was some
+  // runner warm, its recent waits averaging under the budget as its final
+  // receive began, and did the crash begin within half a budget of that
+  // receive (the rest is the crash's own way to its mailbox)? Only an
+  // attempt that met both and caught no spinner fails; a busy host keeps
+  // the runners' waits long, and the test skips.
   constexpr int kReceivers = 16;
   constexpr int kRunners = 4;
   const MetricsRegistry& metrics = system_.metrics();
   Guardian* guardian = receiver_;
   uint64_t caught_spinning = 0;
+  bool premise_met = false;
+  std::string measured;
   for (int attempt = 1; attempt <= 5 && caught_spinning == 0; ++attempt) {
     if (attempt > 1) {
       ASSERT_TRUE(b_->Restart().ok());
@@ -462,30 +493,59 @@ TEST_F(CommTest, CrashReturnsNodeDownToSpinningAndParkedReceivers) {
     for (int i = 0; i < kReceivers; ++i) {
       ports.push_back(guardian->AddPort(TinyPortType(), 8));
     }
+    std::atomic<int> begun{0};
     std::atomic<int> taken{0};
     std::atomic<int> node_down{0};
+    std::vector<ReceiveStart> starts;
     CrashOnExit crash_on_exit{b_};
-    ForkReceivers(guardian, ports, &taken, &node_down);
+    ForkReceivers(guardian, ports, &begun, &taken, &node_down, &starts);
     ASSERT_TRUE(Eventually(
         [&] { return ParkedWaiters(guardian) == size_t{kReceivers}; }));
     const std::vector<Port*> runners(ports.begin(), ports.begin() + kRunners);
-    const int pushed = Feed(runners, 300, Micros(2));
-    ASSERT_TRUE(Eventually([&] { return taken.load() == pushed; }));
-    // Every wait the pushes ended is counted by now; the crash ends the rest.
+    const int pushed = Feed(runners, taken, 300, Micros(2));
+    ASSERT_GT(pushed, 0);
+    // Every wait the pushes ended is counted by now; the crash ends the
+    // rest. It comes once every runner waits again: each has begun its
+    // final receive, and (checked under the mailbox lock only then, so as
+    // not to hold them up) registered its wait.
     const uint64_t spun = metrics.CounterValue("guardian.wait.spun");
     const uint64_t parked = metrics.CounterValue("guardian.wait.parked");
+    ASSERT_TRUE(Eventually([&] {
+      return begun.load() == pushed + kReceivers &&
+             Waiters(guardian) == size_t{kReceivers};
+    }));
+    const TimePoint crash_began = Now();
     b_->Crash();  // returns once every receiver has returned
     EXPECT_EQ(node_down.load(), kReceivers);
     caught_spinning = metrics.CounterValue("guardian.wait.spun") - spun;
     // The sleepers, at least (the node's own guardians wait too).
     EXPECT_GE(metrics.CounterValue("guardian.wait.parked") - parked,
               uint64_t{kReceivers - kRunners});
+
+    const ReceiveStart& warmest = *std::min_element(
+        starts.begin(), starts.begin() + kRunners,
+        [](const ReceiveStart& x, const ReceiveStart& y) {
+          return x.recent_wait < y.recent_wait;
+        });
+    const int64_t recent_us = ToMicros(warmest.recent_wait);
+    const int64_t crash_us = ToMicros(crash_began - warmest.at);
+    premise_met = premise_met || (warmest.recent_wait < kSpinBudget &&
+                                  2 * crash_us < kSpinBudget.count());
+    measured += "\n  attempt " + std::to_string(attempt) +
+                ": the warmest runner's waits averaged " +
+                std::to_string(recent_us) + " us (budget " +
+                std::to_string(kSpinBudget.count()) +
+                " us), and the crash began " + std::to_string(crash_us) +
+                " us into its final receive";
   }
   if (caught_spinning == 0) {
-    if (const char* why = wait_test::WhyShortWaitsMayNotSpin()) {
-      GTEST_SKIP() << "no crash caught a receiver mid-spin: " << why;
+    if (!premise_met) {
+      GTEST_SKIP() << "no attempt could have caught a runner mid-spin:"
+                   << measured;
     }
-    ADD_FAILURE() << "no crash caught a receiver mid-spin on free CPUs";
+    ADD_FAILURE() << "an attempt that could have caught a runner mid-spin "
+                     "caught none:"
+                  << measured;
   }
 }
 

@@ -1,7 +1,10 @@
 // Unit tests for stable storage and the write-ahead log (Section 2.2).
 #include <gtest/gtest.h>
 
-#include "src/fault/crashpoint.h"
+#include <string>
+#include <utility>
+
+#include "src/fault/fault_injector.h"
 #include "src/store/stable_store.h"
 #include "src/store/wal.h"
 #include "src/wire/value_codec.h"
@@ -16,6 +19,71 @@ TEST(StableStoreTest, StreamsAppendAndRead) {
   EXPECT_EQ(ToString(store.Read("log")), "abcdef");
   EXPECT_EQ(store.StreamSize("log"), 6u);
   EXPECT_TRUE(store.Read("missing").empty());
+}
+
+// Arms `plan` on `store`, runs `mutate` under the store's scope, and
+// returns the mutation the crash fired on ("" when nothing fired).
+template <typename Mutate>
+std::string CrashWith(StableStore& store, const CrashPlan& plan,
+                      Mutate mutate) {
+  ScopedFaultScope scope(&store);
+  EXPECT_TRUE(FaultInjector::Instance().Arm(plan, &store, nullptr).ok());
+  std::string fired;
+  try {
+    mutate();
+  } catch (const CrashTriggered& crash) {
+    EXPECT_EQ(crash.plan, plan);
+    fired = crash.op.ToString();
+  }
+  FaultInjector::Instance().Disarm();
+  return fired;
+}
+
+TEST(StableStoreTest, ACrashPlanLandsBeforeAfterOrInsideItsMutation) {
+  // The second append is the plan's mutation: before it, nothing of it is
+  // on the device; after it, all of it; torn, its first half.
+  const std::pair<CrashWhen, const char*> cases[] = {
+      {CrashWhen::kBefore, "abcd"},
+      {CrashWhen::kAfter, "abcdefgh"},
+      {CrashWhen::kTorn, "abcdef"}};
+  for (const auto& [when, left] : cases) {
+    StableStore store;
+    const std::string fired = CrashWith(store, {2, when}, [&] {
+      ASSERT_TRUE(store.Append("s", ToBytes("abcd")).ok());
+      ASSERT_TRUE(store.Append("s", ToBytes("efgh")).ok());
+    });
+    EXPECT_EQ(fired, "append s");
+    EXPECT_EQ(ToString(store.Read("s")), left);
+  }
+  // Cell writes are atomic: a torn plan on one leaves the old value.
+  StableStore store;
+  ASSERT_TRUE(store.PutCell("c", ToBytes("old")).ok());
+  EXPECT_EQ(CrashWith(store, {1, CrashWhen::kTorn},
+                      [&] { (void)store.PutCell("c", ToBytes("new")); }),
+            "put_cell c");
+  EXPECT_EQ(ToString(*store.GetCell("c")), "old");
+}
+
+TEST(StableStoreTest, ACrashPlanCountsOnlyItsScopesMutations) {
+  StableStore store;
+  const int other_node = 0;
+  ASSERT_TRUE(FaultInjector::Instance()
+                  .Arm({1, CrashWhen::kBefore}, &other_node, nullptr)
+                  .ok());
+  // Neither an unscoped thread nor another node's scope reaches the plan.
+  ASSERT_TRUE(store.Append("s", ToBytes("a")).ok());
+  {
+    ScopedFaultScope scope(&store);
+    ASSERT_TRUE(store.Truncate("s", 0).ok());
+  }
+  EXPECT_FALSE(FaultInjector::Instance().triggered());
+  {
+    ScopedFaultScope scope(&other_node);
+    EXPECT_THROW((void)store.Delete("s"), CrashTriggered);
+  }
+  EXPECT_TRUE(FaultInjector::Instance().triggered());
+  EXPECT_EQ(FaultInjector::Instance().fired_on().ToString(), "delete s");
+  FaultInjector::Instance().Disarm();
 }
 
 TEST(StableStoreTest, TruncateAndDelete) {
@@ -197,17 +265,11 @@ TEST(WalTest, CrashBetweenSnapshotWriteAndTruncateRollsForward) {
   ASSERT_TRUE(wal.Append(ToBytes("covered-1")).ok());
   ASSERT_TRUE(wal.Append(ToBytes("covered-2")).ok());
 
-  // Crash the checkpoint through the real injection machinery: arm the
-  // site between the snapshot write and the truncate, scoped to this
-  // thread.
-  ScopedFaultScope scope(&store);
-  ASSERT_TRUE(FaultInjector::Instance()
-                  .Arm({"wal.checkpoint.after_snapshot", 1}, &store, nullptr)
-                  .ok());
-  EXPECT_THROW(
-      { Status st = wal.Checkpoint(ToBytes("SNAP2")); (void)st; },
-      CrashPointTriggered);
-  FaultInjector::Instance().Disarm();
+  // Crash the checkpoint through the real injection machinery, right after
+  // its first mutation: the snapshot write, before the truncate.
+  EXPECT_EQ(CrashWith(store, {1, CrashWhen::kAfter},
+                      [&] { (void)wal.Checkpoint(ToBytes("SNAP2")); }),
+            "put_cell g/mid.snap");
 
   // The new snapshot is on media but the covered records were never
   // truncated. Recovery must prefer the snapshot (it covers them) rather

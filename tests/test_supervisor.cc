@@ -6,7 +6,7 @@
 
 #include "src/airline/flight_guardian.h"
 #include "src/airline/types.h"
-#include "src/fault/crashpoint.h"
+#include "src/fault/fault_injector.h"
 #include "src/fault/supervisor.h"
 #include "src/guardian/system.h"
 #include "src/sendprims/failover.h"
@@ -57,12 +57,13 @@ TEST(SupervisorTest, RestartsACrashedNodeAutonomously) {
   supervisor.Ignore(client.id());
   supervisor.Start();
 
-  // Crash the region from *inside* the reserve's log-then-reply window.
-  // The test never calls Restart(); the clerk's retries must ride out the
-  // supervised recovery on their own.
+  // Crash the region from *inside* the reserve's log-then-reply window:
+  // right after its first mutation, the reserve's log append. The test
+  // never calls Restart(); the clerk's retries must ride out the supervised
+  // recovery on their own.
   NodeRuntime* region_ptr = &region;
   ASSERT_TRUE(FaultInjector::Instance()
-                  .Arm({"flight.reserve.after_log", 1}, region_ptr,
+                  .Arm({1, CrashWhen::kAfter}, region_ptr,
                        [region_ptr] { region_ptr->BeginCrash(); })
                   .ok());
   RemoteCallOptions options;
@@ -72,6 +73,8 @@ TEST(SupervisorTest, RestartsACrashedNodeAutonomously) {
                           {Value::Str("smith"), Value::Str("d1")},
                           ReservationReplyType(), options);
   EXPECT_TRUE(FaultInjector::Instance().triggered());
+  EXPECT_EQ(FaultInjector::Instance().fired_on().kind, Mutation::kAppend);
+  EXPECT_EQ(FaultInjector::Instance().fired_on().name, "g/f1/flight.log");
   FaultInjector::Instance().Disarm();
   ASSERT_TRUE(reply.ok()) << reply.status();
   // The crash hit after the log write, so the retry finds it reserved.
