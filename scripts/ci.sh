@@ -58,10 +58,11 @@
 #
 # --stress (opt-in) runs four copies of test_chaos and four of
 # test_node_runtime at once after the tier-1 suite, then four copies each
-# of test_runtime and test_guardian_comm, and fails if any copy fails. The
-# suites that decide quiescence by wall-clock quiet are the ones CPU
-# contention breaks, and spinning waits change that contention; the
-# serializer's hand-off and the spin test's own premise are checked the
+# of test_runtime and test_guardian_comm, then four of test_tasks, and
+# fails if any copy fails. The suites that decide quiescence by wall-clock
+# quiet are the ones CPU contention breaks, and spinning waits change that
+# contention; the serializer's hand-off, the spin test's own premise and
+# the task runtime (carriers shared by four loaded copies) are checked the
 # same way. Each copy's output lands in build/stress/.
 #
 # Usage: scripts/ci.sh [--skip-tsan] [--skip-bench] [--skip-chaos]
@@ -175,6 +176,7 @@ if [[ "$RUN_STRESS" -eq 1 ]]; then
   }
   stress_wave test_chaos test_node_runtime
   stress_wave test_runtime test_guardian_comm
+  stress_wave test_tasks
   if [[ "$STRESS_FAILED" -gt 0 ]]; then
     echo "stress FAIL: $STRESS_FAILED of $STRESS_COPIES copies failed" >&2
     exit 1

@@ -4,6 +4,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/log.h"
+#include "src/guardian/system.h"
 #include "src/wire/value_codec.h"
 
 namespace guardians {
@@ -91,7 +92,7 @@ Status FlightGuardian::InitCommon(const ValueList& args, bool recovering) {
 
   if (config_.organization == FlightOrganization::kSerializer) {
     serializer_ = std::make_unique<Serializer>(
-        static_cast<size_t>(config_.workers));
+        static_cast<size_t>(config_.workers), runtime().system().carriers());
   }
   AddPort(FlightPortType(), /*capacity=*/1024, /*provided=*/true);
   return OkStatus();
@@ -113,23 +114,29 @@ void FlightGuardian::ServeLoop() {
         break;
       case FlightOrganization::kSerializer: {
         // Figure 1b: p queues the request; a worker q_i performs it when
-        // the flight data of interest (the date) are available.
+        // the flight data of interest (the date) are available. The
+        // receive credit travels with the request, so the worker's reply
+        // may be delivered inline as p's own would have been.
         const uint64_t key =
             received->args.size() >= 2 &&
                     received->args[1].is(TypeTag::kString)
                 ? Fnv1a64(received->args[1].string_value())
                 : 0;
-        serializer_->Enqueue(key,
-                             [this, message = std::move(*received)]() mutable {
-                               HandleRequest(std::move(message));
-                             });
+        serializer_->Enqueue(
+            key, [this, credit = NodeRuntime::TakeReceiveCredit(),
+                  message = std::move(*received)]() mutable {
+              NodeRuntime::SetReceiveCredit(credit);
+              HandleRequest(std::move(message));
+            });
         break;
       }
       case FlightOrganization::kMonitorFork: {
         // Figure 1c: p forks q_i per request; the q_i synchronize through
         // the keyed monitor inside HandleRequest.
         Fork("req-" + std::to_string(forked_.fetch_add(1)),
-             [this, message = std::move(*received)]() mutable {
+             [this, credit = NodeRuntime::TakeReceiveCredit(),
+              message = std::move(*received)]() mutable {
+               NodeRuntime::SetReceiveCredit(credit);
                HandleRequest(std::move(message));
              });
         if (forked_.load() % 64 == 0) {
@@ -190,16 +197,15 @@ void FlightGuardian::MaybeCheckpoint() {
           0) {
     return;
   }
-  Bytes snapshot;
+  WireEncoder snapshot;
+  snapshot.PutU64(0);  // Checkpoint's epoch prefix
   {
     std::lock_guard<std::mutex> lock(db_mu_);
-    auto encoded = EncodeValueToBytes(db_->ToSnapshot());
-    if (!encoded.ok()) {
+    if (!EncodeValue(db_->ToSnapshot(), DefaultLimits(), snapshot).ok()) {
       return;
     }
-    snapshot = encoded.take();
   }
-  Status cp = log_->Checkpoint(std::move(snapshot));
+  Status cp = log_->Checkpoint(snapshot.Take());
   (void)cp;
 }
 

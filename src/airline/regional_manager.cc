@@ -98,15 +98,19 @@ void RegionalManager::Main() {
 void RegionalManager::HandleAddFlight(const Received& request) {
   const int64_t flight_no = request.args[0].int_value();
   const int capacity = static_cast<int>(request.args[1].int_value());
+  bool exists = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (directory_.count(flight_no) > 0) {
-      if (!request.reply_to.IsNull()) {
-        Status st = Send(request.reply_to, "exists", {});
-        (void)st;
-      }
-      return;
+    exists = directory_.count(flight_no) > 0;
+  }
+  // Replies leave with mu_ released: a send may park this process (the
+  // dedup journal's write latency), and no process parks holding a mutex.
+  if (exists) {
+    if (!request.reply_to.IsNull()) {
+      Status st = Send(request.reply_to, "exists", {});
+      (void)st;
     }
+    return;
   }
   FlightConfig flight_config;
   flight_config.flight_no = flight_no;
@@ -149,18 +153,22 @@ void RegionalManager::HandleAddFlight(const Received& request) {
 void RegionalManager::ForwardToFlight(const Received& request) {
   const int64_t flight_no = request.args[0].int_value();
   PortName flight_port;
+  bool known = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = directory_.find(flight_no);
-    if (it == directory_.end()) {
-      // `except when no_entry` of Figure 4.
-      if (!request.reply_to.IsNull()) {
-        Status st = Send(request.reply_to, "no_such_flight", {});
-        (void)st;
-      }
-      return;
+    if (it != directory_.end()) {
+      flight_port = it->second;
+      known = true;
     }
-    flight_port = it->second;
+  }
+  if (!known) {
+    // `except when no_entry` of Figure 4.
+    if (!request.reply_to.IsNull()) {
+      Status st = Send(request.reply_to, "no_such_flight", {});
+      (void)st;
+    }
+    return;
   }
   // Forward minus the flight_no argument, keeping the original replyto:
   // the response bypasses this manager entirely (Figure 4).

@@ -117,6 +117,12 @@ void AccountGuardian::HandleRequest(const Received& request) {
       (void)st;
     }
   };
+  // Replies leave with mu_ released: a send may park this process (the
+  // dedup journal's write latency), and no process parks holding a mutex.
+  auto balance_now = [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return balance_;
+  };
 
   if (request.command == "deposit" || request.command == "withdraw") {
     const int64_t amount = request.args[0].int_value();
@@ -128,16 +134,14 @@ void AccountGuardian::HandleRequest(const Received& request) {
     auto balance = ApplyOp(request.command, amount, txid);
     if (!balance.ok()) {
       if (balance.status().code() == Code::kInvalidArgument) {
-        std::lock_guard<std::mutex> lock(mu_);
-        reply("insufficient", {Value::Int(balance_)});
+        reply("insufficient", {Value::Int(balance_now())});
       }
       return;  // storage failure: stay silent, requester times out
     }
     reply("ok_balance", {Value::Int(*balance)});
 
   } else if (request.command == "balance") {
-    std::lock_guard<std::mutex> lock(mu_);
-    reply("balance_is", {Value::Int(balance_)});
+    reply("balance_is", {Value::Int(balance_now())});
 
   } else if (request.command == "statement_token") {
     size_t index;

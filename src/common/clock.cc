@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/common/task.h"
+
 namespace guardians {
 
 // ---------------------------------------------------------------- WallClock
@@ -13,7 +15,9 @@ WallClock* WallClock::Get() {
   return &instance;
 }
 
-bool WallClock::WaitUntil(std::condition_variable& cv,
+void WallClock::SleepFor(Micros d) const { SleepUntil(Clock::now() + d); }
+
+bool WallClock::WaitUntil(CondVar& cv,
                           std::unique_lock<std::mutex>& lock,
                           TimePoint deadline,
                           std::function<bool()> pred) const {
@@ -41,13 +45,13 @@ class SimNodeClock : public ClockSource {
 
   void SleepFor(Micros d) const override {
     std::mutex mu;
-    std::condition_variable cv;
+    CondVar cv;
     std::unique_lock<std::mutex> lock(mu);
     const TimePoint deadline = Now() + d;
     parent_->WaitCommon(cv, lock, node_, deadline, nullptr);
   }
 
-  bool WaitUntil(std::condition_variable& cv,
+  bool WaitUntil(CondVar& cv,
                  std::unique_lock<std::mutex>& lock, TimePoint deadline,
                  std::function<bool()> pred) const override {
     return parent_->WaitCommon(cv, lock, node_, deadline, &pred);
@@ -133,13 +137,13 @@ TimePoint SimulatedClock::DueBaseLocked(uint64_t node,
 
 void SimulatedClock::SleepFor(Micros d) const {
   std::mutex mu;
-  std::condition_variable cv;
+  CondVar cv;
   std::unique_lock<std::mutex> lock(mu);
   const TimePoint deadline = Now() + d;
   WaitCommon(cv, lock, /*node=*/0, deadline, nullptr);
 }
 
-bool SimulatedClock::WaitUntil(std::condition_variable& cv,
+bool SimulatedClock::WaitUntil(CondVar& cv,
                                std::unique_lock<std::mutex>& lock,
                                TimePoint deadline,
                                std::function<bool()> pred) const {
@@ -150,7 +154,7 @@ bool SimulatedClock::WaitUntil(std::condition_variable& cv,
 // first (lock order forbids taking registry_mu_ under it); a pred-based
 // wait re-checks pred after re-locking, so it can never miss a producer
 // notify. Only SleepFor waits without a pred: nobody notifies a sleep.
-bool SimulatedClock::WaitCommon(std::condition_variable& cv,
+bool SimulatedClock::WaitCommon(CondVar& cv,
                                 std::unique_lock<std::mutex>& lock,
                                 uint64_t node, TimePoint deadline,
                                 std::function<bool()>* pred) const {
@@ -214,7 +218,7 @@ void SimulatedClock::NotifyDue() {
     TimePoint due_base;
     uint64_t seq;
     std::mutex* mu;
-    std::condition_variable* cv;
+    CondVar* cv;
   };
   std::vector<Due> due;
   {

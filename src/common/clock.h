@@ -22,6 +22,8 @@
 
 namespace guardians {
 
+class CondVar;  // src/common/task.h
+
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 using Micros = std::chrono::microseconds;
@@ -36,17 +38,18 @@ inline int64_t ToMicros(Clock::duration d) {
 }
 
 // A source of time plus the two blocking shapes the library uses. The
-// condvar wait takes the caller's own cv and held lock — a simulated
-// clock registers the wait (mutex, cv, deadline) so a stepping thread
-// can wake it when virtual time crosses the deadline; the wall clock
-// forwards to the std primitives untouched.
+// condvar wait takes the caller's own CondVar (the park seam of
+// src/common/task.h) and held lock — a simulated clock registers the wait
+// (mutex, cv, deadline) so a stepping thread can wake it when virtual time
+// crosses the deadline; the wall clock waits on the CondVar directly. Both
+// park a task and block a foreign thread.
 class ClockSource {
  public:
   virtual ~ClockSource() = default;
 
   virtual TimePoint Now() const = 0;
 
-  // Block the calling thread for `d` on this clock.
+  // Block the calling process for `d` on this clock.
   virtual void SleepFor(Micros d) const = 0;
 
   // Wait until pred() holds or `deadline` passes on this clock.
@@ -55,7 +58,7 @@ class ClockSource {
   // predicate-less form: a simulated clock drops `lock` while it
   // registers the wait, and only a re-check of pred() sees a notify sent
   // in that window.
-  virtual bool WaitUntil(std::condition_variable& cv,
+  virtual bool WaitUntil(CondVar& cv,
                          std::unique_lock<std::mutex>& lock,
                          TimePoint deadline,
                          std::function<bool()> pred) const = 0;
@@ -69,8 +72,8 @@ class WallClock : public ClockSource {
   static WallClock* Get();
 
   TimePoint Now() const override { return Clock::now(); }
-  void SleepFor(Micros d) const override { std::this_thread::sleep_for(d); }
-  bool WaitUntil(std::condition_variable& cv,
+  void SleepFor(Micros d) const override;
+  bool WaitUntil(CondVar& cv,
                  std::unique_lock<std::mutex>& lock, TimePoint deadline,
                  std::function<bool()> pred) const override;
 };
@@ -95,7 +98,7 @@ class SimulatedClock : public ClockSource {
 
   TimePoint Now() const override;
   void SleepFor(Micros d) const override;
-  bool WaitUntil(std::condition_variable& cv,
+  bool WaitUntil(CondVar& cv,
                  std::unique_lock<std::mutex>& lock, TimePoint deadline,
                  std::function<bool()> pred) const override;
   bool is_simulated() const override { return true; }
@@ -142,7 +145,7 @@ class SimulatedClock : public ClockSource {
 
   struct Waiter {
     std::mutex* mu = nullptr;
-    std::condition_variable* cv = nullptr;
+    CondVar* cv = nullptr;
     uint64_t node = 0;
     TimePoint deadline = TimePoint::max();  // in the node's timeline
     uint64_t seq = 0;
@@ -158,7 +161,7 @@ class SimulatedClock : public ClockSource {
   TimePoint NowAtLocked(uint64_t node, TimePoint base) const;
   // Base-time instant at which node's clock shows `node_deadline`.
   TimePoint DueBaseLocked(uint64_t node, TimePoint node_deadline) const;
-  bool WaitCommon(std::condition_variable& cv,
+  bool WaitCommon(CondVar& cv,
                   std::unique_lock<std::mutex>& lock, uint64_t node,
                   TimePoint deadline, std::function<bool()>* pred) const;
   // Wake every registered wait that is due at the current time/skew.

@@ -1,5 +1,5 @@
-// Spin-then-park: how a blocked thread waits (DESIGN.md §8, "How a
-// blocked receive waits").
+// Spin-then-park: how a blocked foreign thread (and an idle carrier)
+// waits (DESIGN.md §8, "How a blocked receive waits").
 //
 // On a busy message path most waits are short: the next tick of a stream,
 // the next request to an echo, the next packet for a delivery shard.
@@ -16,17 +16,19 @@
 //     thread whose waits are long (an idle server, a world being built)
 //     never spins;
 //   - nothing spins on a simulated clock: virtual time only moves while its
-//     participants are parked in ClockSource waits.
+//     participants are parked in ClockSource waits;
+//   - a task never spins: it parks at once, and its carrier, now idle,
+//     spins for work by this same policy (CarrierPool::IdleWait).
 // The policy lives here alone and has no knob.
 #ifndef GUARDIANS_SRC_COMMON_SPIN_PARK_H_
 #define GUARDIANS_SRC_COMMON_SPIN_PARK_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/task.h"
 
 namespace guardians {
 
@@ -52,26 +54,18 @@ void NoteWaitLength(Clock::duration lasted);
 // first when the policy allows. `lock` is held on entry and on return.
 // signalled() must read only atomics, since it runs with the lock both
 // released (while spinning) and held (while parking). A waker makes it
-// true while holding the lock's mutex and then notifies `cv`; with
-// `parked` given, the wait sets *parked (under the mutex) for exactly as
-// long as it is parked, so a waker may notify only then. The caller
-// re-checks its own state afterwards: the return value says only how the
-// wait went.
+// true while holding the lock's mutex and then notifies `cv`, which costs
+// one atomic load when nobody is parked on it. The caller re-checks its
+// own state afterwards: the return value says only how the wait went.
 template <typename Signalled>
-WaitEnd SpinThenPark(const ClockSource& clock, std::condition_variable& cv,
+WaitEnd SpinThenPark(const ClockSource& clock, CondVar& cv,
                      std::unique_lock<std::mutex>& lock, TimePoint deadline,
-                     Signalled signalled, bool* parked = nullptr) {
+                     Signalled signalled) {
   auto park = [&] {
-    if (parked != nullptr) {
-      *parked = true;
-    }
     clock.WaitUntil(cv, lock, deadline, signalled);
-    if (parked != nullptr) {
-      *parked = false;
-    }
     return WaitEnd::kParked;
   };
-  if (clock.is_simulated()) {
+  if (clock.is_simulated() || OnTask()) {
     return park();
   }
   const TimePoint start = clock.Now();

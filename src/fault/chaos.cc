@@ -1596,7 +1596,8 @@ ChaosReport ChaosEngine::RunSchedule(const std::vector<ChaosEvent>& schedule) {
       (*world)->supervisor->Stop();
     }
     System& system = (*world)->system;
-    report.waits_spun = system.metrics().CounterValue("guardian.wait.spun");
+    report.waits_spun = system.metrics().CounterValue("guardian.wait.spun") +
+                        system.carriers().stats().spun;
     for (size_t k = 0; k < system.network().shard_count(); ++k) {
       report.waits_spun += system.metrics().CounterValue(
           "net.shard." + std::to_string(k) + ".wait.spun");

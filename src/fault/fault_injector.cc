@@ -1,9 +1,10 @@
 #include "src/fault/fault_injector.h"
 
+#include "src/common/task.h"
+
 namespace guardians {
 
 namespace {
-thread_local const void* t_fault_scope = nullptr;
 
 constexpr const char* kMutationNames[] = {"append", "put_cell", "truncate",
                                           "delete", "delete_cell"};
@@ -30,13 +31,17 @@ void ScheduledCrash::Fire() const {
 }
 
 ScopedFaultScope::ScopedFaultScope(const void* scope)
-    : previous_(t_fault_scope) {
-  t_fault_scope = scope;
+    : previous_(CurrentProcessLocals().fault_scope) {
+  CurrentProcessLocals().fault_scope = scope;
 }
 
-ScopedFaultScope::~ScopedFaultScope() { t_fault_scope = previous_; }
+ScopedFaultScope::~ScopedFaultScope() {
+  CurrentProcessLocals().fault_scope = previous_;
+}
 
-const void* ScopedFaultScope::Current() { return t_fault_scope; }
+const void* ScopedFaultScope::Current() {
+  return CurrentProcessLocals().fault_scope;
+}
 
 FaultInjector& FaultInjector::Instance() {
   static FaultInjector* instance = new FaultInjector();

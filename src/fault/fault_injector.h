@@ -99,7 +99,7 @@ struct ScheduledCrash {
   [[noreturn]] void Fire() const;
 };
 
-// The calling thread's fault scope: which node's stable-storage work it is
+// The calling process's fault scope (ProcessLocals): which node's stable-storage work it is
 // doing. Guardian processes and NodeRuntime entry points set it to the
 // owning NodeRuntime*, so mutations are attributed to the right node even
 // though the injector is process-wide.

@@ -22,7 +22,6 @@
 #ifndef GUARDIANS_SRC_FAULT_SUPERVISOR_H_
 #define GUARDIANS_SRC_FAULT_SUPERVISOR_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -30,6 +29,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/common/task.h"
 #include "src/guardian/system.h"
 #include "src/obs/metrics.h"
 
@@ -119,7 +119,7 @@ class Supervisor {
   uint64_t trace_id_;  // all supervisor.* trace events share one trace
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  CondVar cv_;
   bool running_ = false;
   Rng rng_;
   std::map<NodeId, NodeState> state_;

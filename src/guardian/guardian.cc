@@ -16,6 +16,7 @@ namespace guardians {
 void Guardian::Attach(NodeRuntime* rt, GuardianId gid, std::string gname,
                       uint64_t seal) {
   runtime_ = rt;
+  processes_.emplace(rt->system().carriers());
   id_ = gid;
   name_ = std::move(gname);
   seal_ = seal;
@@ -215,11 +216,9 @@ Result<Received> Guardian::ReceiveAny(std::span<Port* const> ports,
     record.signalled.store(false, std::memory_order_relaxed);
     mailbox_.AddLocked(&record);
     const WaitEnd end = SpinThenPark(
-        clock, record.cv, lock, deadline.at(),
-        [&record] {
+        clock, record.cv, lock, deadline.at(), [&record] {
           return record.signalled.load(std::memory_order_acquire);
-        },
-        &record.parked);
+        });
     mailbox_.RemoveLocked(&record);
     runtime_->NoteWait(end);
     if (end == WaitEnd::kParked && !mailbox_.closed && !backlogged() &&
@@ -261,9 +260,9 @@ void Guardian::Fork(std::string process_name, std::function<void()> body) {
   // Guardian processes run under the owning node's fault scope, so an armed
   // crash plan attributes their stable-storage work to the right node; a
   // triggered crash throws to abandon the doomed operation and must end the
-  // process here rather than escape into std::thread.
+  // process here rather than escape the task.
   NodeRuntime* node = runtime_;
-  processes_.Fork(name_ + "/" + process_name,
+  processes_->Fork(name_ + "/" + process_name,
                   [node, body = std::move(body)] {
                     ScopedFaultScope scope(node);
                     try {
@@ -274,7 +273,7 @@ void Guardian::Fork(std::string process_name, std::function<void()> body) {
                   });
 }
 
-void Guardian::ReapProcesses() { processes_.Reap(); }
+void Guardian::ReapProcesses() { processes_->Reap(); }
 
 bool Guardian::Closed() const {
   std::lock_guard<std::mutex> lock(mailbox_.mu);
@@ -325,6 +324,6 @@ uint64_t Guardian::idle_wakeups() const {
   return mailbox_.idle_wakeups;
 }
 
-void Guardian::JoinProcesses() { processes_.JoinAll(); }
+void Guardian::JoinProcesses() { processes_->JoinAll(); }
 
 }  // namespace guardians

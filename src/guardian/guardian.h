@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,7 +32,7 @@
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/guardian/port.h"
-#include "src/runtime/process.h"
+#include "src/common/task.h"
 #include "src/store/wal.h"
 #include "src/value/port_type.h"
 #include "src/value/token.h"
@@ -186,7 +187,8 @@ class Guardian {
   mutable std::mutex ports_mu_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::vector<uint32_t> provided_;
-  ProcessGroup processes_;
+  // On the system's carriers; made by Attach.
+  std::optional<ProcessGroup> processes_;
   std::mutex wals_mu_;
   std::map<std::string, std::unique_ptr<Wal>> wals_;
 };

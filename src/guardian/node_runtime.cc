@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/common/task.h"
 #include "src/fault/fault_injector.h"
 #include "src/guardian/system.h"
 #include "src/obs/trace.h"
@@ -22,10 +23,6 @@ namespace {
 std::atomic<bool> g_skip_dedup_journal{false};
 // See NodeRuntime::SetDedupSweepOnLocalClockForTesting.
 std::atomic<bool> g_dedup_sweep_local_clock{false};
-
-// This thread's receive credit: set by a Receive that returned a message
-// (SetReceiveCredit), spent by the thread's next Transmit.
-thread_local bool t_inline_delivery = false;
 
 constexpr GuardianId kPrimordialId = 1;
 constexpr char kMetaLogName[] = "node/meta";
@@ -365,6 +362,7 @@ Status NodeRuntime::DestroyGuardianImpl(GuardianId gid) {
   GUARDIANS_ASSIGN_OR_RETURN(std::vector<Value> records,
                              RecoverRecords(meta));
   WireEncoder snapshot;
+  snapshot.PutU64(0);  // Checkpoint's epoch prefix
   bool dropped = false;
   for (const Value& record : records) {
     auto id_field = record.field("id");
@@ -699,14 +697,19 @@ Status NodeRuntime::Transmit(Envelope env) {
     // if it has one. An inline drain is the network's work, not this
     // node's, so it runs under no fault scope, as a worker's drain does.
     ScopedFaultScope network_scope(nullptr);
-    system_->network().Send(packets, std::exchange(t_inline_delivery, false));
+    system_->network().Send(
+        packets, std::exchange(CurrentProcessLocals().receive_credit, false));
   }
   counters_.sent->Inc();
   return OkStatus();
 }
 
 void NodeRuntime::SetReceiveCredit(bool credited) {
-  t_inline_delivery = credited;
+  CurrentProcessLocals().receive_credit = credited;
+}
+
+bool NodeRuntime::TakeReceiveCredit() {
+  return std::exchange(CurrentProcessLocals().receive_credit, false);
 }
 
 void NodeRuntime::SendSystemFailure(const PortName& to,
@@ -1399,35 +1402,47 @@ void NodeRuntime::MaybeJournalReply(Envelope& env) {
   WireEncoder record;
   Status st = EncodeDedupRecord(pending.session, pending.seq, high_water,
                                 reply, record);
-  std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
-  Wal dedup_log(&stable_store_, kDedupLogName);
-  if (st.ok()) {
-    st = dedup_log.Append(record.bytes());
+  // The append's modelled write latency is owed, not waited, under the log
+  // lock: a process that parks holding it would stall every other replying
+  // process of the node, and a carrier blocked on it could never resume the
+  // sleeper. It is waited below, before the reply leaves.
+  Micros owed{0};
+  {
+    std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
+    Wal dedup_log(&stable_store_, kDedupLogName);
+    if (st.ok()) {
+      st = dedup_log.Append(record.bytes(), &owed);
+    }
+    if (!st.ok()) {
+      GLOG_ERROR << "failed to journal reply for dedup seq " << pending.seq
+                 << ": " << st;
+    }
+    if (st.ok()) {
+      counters_.dedup_journaled->Inc();
+    }
+    // Cache while still holding the log lock: a compaction (below, or in
+    // another replying process) snapshots the cache in place of the log, so
+    // every reply already in the log must be in the cache by then.
+    cache_reply();
+    if (++dedup_appends_since_compact_ >= kDedupCompactEvery) {
+      dedup_appends_since_compact_ = 0;
+      CompactDedupJournalLocked(dedup_log);
+    }
   }
-  if (!st.ok()) {
-    GLOG_ERROR << "failed to journal reply for dedup seq " << pending.seq
-               << ": " << st;
-  }
-  if (st.ok()) {
-    counters_.dedup_journaled->Inc();
-  }
-  // Cache while still holding the log lock: a compaction (below, or in
-  // another replying thread) snapshots the cache in place of the log, so
-  // every reply already in the log must be in the cache by then.
-  cache_reply();
-  if (++dedup_appends_since_compact_ < kDedupCompactEvery) {
-    return;
-  }
-  // Compact: keep only the live reply cache, installed as the journal's
-  // snapshot by one crash-atomic checkpoint (see RecoverRecords). The live
-  // records are written by the same writer, straight from the table into
-  // the snapshot under one dedup-lock acquisition. A failed checkpoint
-  // leaves the journal as it was; the next compaction tries again.
-  dedup_appends_since_compact_ = 0;
+  stable_store_.WaitOwed(owed);
+}
+
+void NodeRuntime::CompactDedupJournalLocked(Wal& dedup_log) {
+  // Keep only the live reply cache, installed as the journal's snapshot by
+  // one crash-atomic checkpoint (see RecoverRecords). The live records are
+  // written by the same writer, straight from the table into the snapshot
+  // under one dedup-lock acquisition. A failed checkpoint leaves the journal
+  // as it was; the next compaction tries again.
+  //
   // Two passes over the table under one dedup-lock hold: the first sizes
   // each record (encoding it into one reused scratch buffer), the second
-  // writes it, length first, into one buffer of the final size (plus
-  // Checkpoint's epoch prefix). The journal's memory then peaks at the old
+  // writes it, length first, into one buffer of the final size, after
+  // Checkpoint's epoch prefix. The journal's memory then peaks at the old
   // log plus one copy of the live records, as the re-append it replaces
   // did; a growing buffer or a list of records would add a second copy.
   WireEncoder snapshot;
@@ -1448,6 +1463,7 @@ void NodeRuntime::MaybeJournalReply(Envelope& env) {
       total += ok ? sized.size() + 10 : 0;  // a varint length is <= 10
     });
     snapshot.Reserve(total);
+    snapshot.PutU64(0);  // Checkpoint's epoch prefix
     size_t i = 0;
     dedup_.ForEachCachedReply([&](uint64_t session, uint64_t seq,
                                   const DedupTable::CachedReply& cached) {

@@ -145,16 +145,20 @@ class NodeRuntime {
 
   // --- Transport internals (used by Guardian and the send primitives) ----------
   Status Transmit(Envelope env);
-  // The receive credit (DESIGN.md §8). A Receive that returns a message
-  // and leaves its ports empty grants its thread one inline delivery (a
-  // Receive that leaves a backlog takes it away), and the thread's next
-  // Transmit spends it: that message's packets are delivered on the
-  // sending thread when their shard is idle, instead of waking the shard
-  // worker. So request/reply threads run each hop to completion while
+  // The receive credit (DESIGN.md §8), kept in ProcessLocals. A Receive
+  // that returns a message and leaves its ports empty grants its process
+  // one inline delivery (a Receive that leaves a backlog takes it away),
+  // and the process's next Transmit spends it: that message's packets are
+  // delivered on the sending carrier or thread when their shard is idle,
+  // instead of waking the shard worker. So request/reply threads run each hop to completion while
   // they would otherwise sit idle, while backlogged receivers and threads
   // that only send (generators, floods, the delivery workers themselves)
   // keep the pipelined worker path.
   static void SetReceiveCredit(bool credited);
+  // Returns the calling process's receive credit and clears it: how a
+  // process that hands a received request to another process (a
+  // serializer worker, a forked request process) passes the credit on.
+  static bool TakeReceiveCredit();
   uint64_t NextMsgId();
   // At-most-once sender identity. The session id names this incarnation of
   // the node (random per Restart, so pre-crash seqs can never collide with
@@ -323,6 +327,9 @@ class NodeRuntime {
   // has already encoded them for the wire). Runs on the replying
   // guardian's thread.
   void MaybeJournalReply(Envelope& env);
+  // Installs the live reply cache as the dedup journal's checkpoint
+  // (dedup_log_mu_ held).
+  void CompactDedupJournalLocked(Wal& dedup_log);
   // Rebuild the dedup table from the journal at boot.
   Status RecoverDedup();
   // Count/trace an unroutable envelope and send its failure(...) reply.

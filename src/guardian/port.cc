@@ -28,9 +28,7 @@ void Mailbox::RemoveLocked(WaitRecord* record) {
 namespace {
 void Signal(WaitRecord* record) {
   record->signalled.store(true, std::memory_order_release);
-  if (record->parked) {
-    record->cv.notify_one();
-  }
+  record->cv.notify_one();
 }
 }  // namespace
 

@@ -18,7 +18,6 @@
 #define GUARDIANS_SRC_GUARDIAN_PORT_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/task.h"
 #include "src/value/port_type.h"
 #include "src/value/value.h"
 
@@ -74,14 +74,13 @@ enum class PushResult {
 class Port;
 
 // One blocked receive (DESIGN.md §8): the ports it waits on and its own
-// wake-up. It lives on the receiving thread's stack and is on its
+// wake-up. It lives on the receiving process's stack and is on its
 // mailbox's list only while the receive waits, so a waker signals it while
 // holding the mailbox lock, never after.
 struct WaitRecord {
   std::span<Port* const> ports;
   std::atomic<bool> signalled{false};  // set under the mailbox lock
-  bool parked = false;                 // guarded by the mailbox lock
-  std::condition_variable cv;
+  CondVar cv;  // the one receive parked on it (a task or a thread)
   WaitRecord* prev = nullptr;  // the mailbox's list; guarded by its lock
   WaitRecord* next = nullptr;
 };

@@ -13,6 +13,7 @@ System::System(SystemConfig config)
                  ? static_cast<const ClockSource*>(config.sim_clock)
                  : WallClock::Get()),
       rng_(config.seed),
+      carriers_(CarrierPool::DefaultCarriers(), clock_),
       network_(config.seed ^ 0xA5A5A5A5ull, &metrics_, &traces_,
                config.delivery_shards, config.delivery_batch_max, clock_) {
   network_.SetDefaultLink(config_.default_link);
@@ -166,8 +167,27 @@ void System::SyncBufferStats() {
   }
 }
 
+void System::SyncCarrierStats() {
+  std::lock_guard<std::mutex> lock(buffer_sync_mu_);
+  const CarrierPool::Stats now = carriers_.stats();
+  CarrierPool::Stats& was = carriers_synced_;
+  auto sync = [this](const char* name, uint64_t value, uint64_t& synced) {
+    if (value > synced) {
+      metrics_.counter(name)->Inc(value - synced);
+      synced = value;
+    }
+  };
+  sync("runtime.carrier.handoffs", now.handoffs, was.handoffs);
+  sync("runtime.carrier.queued", now.queued, was.queued);
+  sync("runtime.carrier.steals", now.steals, was.steals);
+  sync("runtime.carrier.timers", now.timers, was.timers);
+  sync("runtime.carrier.wait.spun", now.spun, was.spun);
+  sync("runtime.carrier.wait.parked", now.parked, was.parked);
+}
+
 std::string System::Report() {
   SyncBufferStats();
+  SyncCarrierStats();
   SweepReassemblers();
   std::string out = "=== system report ===\n";
   std::vector<NodeRuntime*> nodes;

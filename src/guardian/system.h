@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/task.h"
 #include "src/guardian/node_runtime.h"
 #include "src/guardian/port_registry.h"
 #include "src/net/flow.h"
@@ -86,6 +87,8 @@ class System {
   // a simulated clock, the shared base source otherwise.
   const ClockSource* clock_for_node(NodeId id) const;
   SimulatedClock* sim_clock() const { return config_.sim_clock; }
+  // The carrier threads every guardian process of this system runs on.
+  CarrierPool& carriers() { return carriers_; }
   PortTypeRegistry& port_types() { return port_types_; }
   const WireLimits& limits() const { return config_.limits; }
   const SystemConfig& config() const { return config_; }
@@ -128,6 +131,10 @@ class System {
   // publishes only what accrued since this System's last sync. Called by
   // Report(); callable directly when scraping counters between reports.
   void SyncBufferStats();
+  // Mirror the carrier pool's counters into the registry as
+  // `runtime.carrier.*` (handoffs, queued, steals, timers, wait.spun,
+  // wait.parked), delta-based like SyncBufferStats. Called by Report().
+  void SyncCarrierStats();
 
  private:
   // Drain the network; on a simulated clock, step virtual time to the
@@ -138,6 +145,9 @@ class System {
   SystemConfig config_;
   const ClockSource* clock_;  // borrowed (or the shared WallClock)
   Rng rng_;
+  // Outlives the network and the nodes: their processes, and the delivery
+  // workers that wake them, are gone before the carriers stop.
+  CarrierPool carriers_;
   // Observability must outlive (and be constructed before) the network and
   // the nodes: both cache Counter*/Histogram* pointers into the registry.
   MetricsRegistry metrics_;
@@ -156,6 +166,7 @@ class System {
   std::mutex buffer_sync_mu_;
   uint64_t buffer_copied_synced_ = 0;
   uint64_t buffer_allocs_synced_ = 0;
+  CarrierPool::Stats carriers_synced_;  // guarded by buffer_sync_mu_
 };
 
 }  // namespace guardians

@@ -27,12 +27,12 @@
 #ifndef GUARDIANS_SRC_NET_FLOW_H_
 #define GUARDIANS_SRC_NET_FLOW_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
 
 #include "src/common/clock.h"
+#include "src/common/task.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/value/port_name.h"
@@ -165,7 +165,7 @@ class FlowController {
   void NotifyLocked();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  CondVar cv_;
   bool shutdown_ = false;                                 // guarded by mu_
   uint64_t epoch_ = 0;                                    // guarded by mu_
   // Bumped by every NotifyLocked; a deferred sender waits for it to move.

@@ -51,6 +51,8 @@ class HopDetail {
 
 // Set while this thread runs a drain (a worker's or its own inline one):
 // sends its sinks make then go to the heap, never into a nested drain.
+// Per thread, not per process: a drain never parks (NoParkScope), so a
+// task that drains does so on one carrier from start to end.
 thread_local bool t_in_drain = false;
 
 }  // namespace
@@ -248,7 +250,9 @@ uint64_t Network::link_epoch() const {
 void Network::Send(std::span<Packet> packets, bool deliver_inline) {
   // The message's surviving copies. Thread-local scratch, so a warm Send
   // allocates nothing; a sink that sends from inside this thread's drain
-  // reuses it only after TryDrainInline has moved the entries out.
+  // reuses it only after TryDrainInline has moved the entries out. A Send
+  // never parks, so a task's Send keeps one carrier's scratch throughout.
+  const NoParkScope no_park;
   thread_local std::vector<InFlight> decided;
   decided.clear();
   {
@@ -417,22 +421,48 @@ bool Network::TryDrainInline(std::vector<InFlight>& decided) {
   std::move(decided.begin(), decided.end(), std::back_inserter(shard.batch));
   decided.clear();
   shard.enqueued->Inc(shard.batch.size());
-  RunDrain(shard, /*by_sender=*/true);
-  const size_t delivered = shard.batch.size();
   bool wake_worker = false;
-  {
+  size_t delivered = 0;
+  for (int round = 0;; ++round) {
+    RunDrain(shard, /*by_sender=*/true);
+    delivered += shard.batch.size();
     std::lock_guard<std::mutex> lock(shard.mu);
+    // Senders that found the token taken heaped their packets. The holder
+    // delivers those already due itself, a few batches at most, so a
+    // sender that lost the race for the token costs no worker wake; the
+    // rest waits for the worker (and Shutdown for the drain).
+    const TimePoint due_by = clock_->Now();
+    if (round < kInlineRounds && !stopping_.load() && !shard.heap.empty() &&
+        shard.heap.front().deliver_at <= due_by) {
+      TakeDueLocked(shard, due_by);
+      continue;
+    }
     shard.draining = false;
-    shard.wake_seq.fetch_add(1, std::memory_order_release);
-    // Senders that found the token taken heaped their packets; the worker
-    // waits for the token to take them (and Shutdown for the drain).
+    // Only a release that leaves work (or a stop) concerns the worker: a
+    // bump on every inline drain kept a spinning worker spinning on a shard
+    // that saw nothing but inline drains.
     wake_worker = !shard.heap.empty() || stopping_.load();
+    if (wake_worker) {
+      shard.wake_seq.fetch_add(1, std::memory_order_release);
+    }
+    break;
   }
   if (wake_worker) {
     shard.cv.notify_all();
   }
+  // Resolved once the token is free again, as the worker does.
   FinishMany(delivered);
   return true;
+}
+
+void Network::TakeDueLocked(Shard& shard, TimePoint now) {
+  shard.batch.clear();
+  while (!shard.heap.empty() && shard.batch.size() < batch_max_ &&
+         shard.heap.front().deliver_at <= now) {
+    std::pop_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
+    shard.batch.push_back(std::move(shard.heap.back()));
+    shard.heap.pop_back();
+  }
 }
 
 void Network::EnqueueToShard(std::span<InFlight> entries) {
@@ -615,13 +645,7 @@ void Network::ShardLoop(Shard& shard) {
     // (bounded by batch_max_), in heap order — so per-destination delivery
     // order is exactly what the one-packet-per-wake engine produced.
     shard.draining = true;
-    shard.batch.clear();
-    while (!shard.heap.empty() && shard.batch.size() < batch_max_ &&
-           shard.heap.front().deliver_at <= now) {
-      std::pop_heap(shard.heap.begin(), shard.heap.end(), DueLater{});
-      shard.batch.push_back(std::move(shard.heap.back()));
-      shard.heap.pop_back();
-    }
+    TakeDueLocked(shard, now);
 
     // Deliver outside the shard lock: a sink may immediately Send (e.g. a
     // system failure reply) or hand off to guardian processes, and other
@@ -644,6 +668,7 @@ void Network::RunDrain(Shard& shard, bool by_sender) {
   }
   shard.batch_packets->Inc(packets);
   shard.batch_size->Observe(packets);
+  const NoParkScope no_park;
   t_in_drain = true;
   DeliverBatch(shard);
   t_in_drain = false;

@@ -58,6 +58,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/common/task.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/wire/packet.h"
@@ -263,7 +264,7 @@ class Network {
   // net.shard.<k>.wait.{spun,parked}).
   struct Shard {
     std::mutex mu;
-    std::condition_variable cv;
+    CondVar cv;
     std::vector<InFlight> heap;  // guarded by mu; DueLater min-heap
     // The drain token, guarded by mu: set while the worker or a sending
     // thread runs a drain. It serializes the shard's sinks, and whoever
@@ -341,6 +342,12 @@ class Network {
   // the calling thread if the shard's token can be taken for it; false
   // leaves `decided` untouched for the heap.
   bool TryDrainInline(std::vector<InFlight>& decided);
+  // Batches of heaped packets an inline drainer delivers after its own
+  // before it leaves the rest to the worker.
+  static constexpr int kInlineRounds = 4;
+  // Moves the heap's due entries (at most batch_max_) into shard.batch, in
+  // heap order (shard.mu held).
+  void TakeDueLocked(Shard& shard, TimePoint now);
   // One drain of shard.batch by the token's holder: batch telemetry, then
   // DeliverBatch. Sends the sinks make meanwhile never drain inline.
   void RunDrain(Shard& shard, bool by_sender);

@@ -7,18 +7,17 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "src/common/task.h"
+
 namespace guardians {
 
-namespace {
-thread_local uint64_t t_current_trace_id = 0;
-thread_local TimePoint t_current_deadline_at = TimePoint::max();
-}  // namespace
+uint64_t CurrentTraceId() { return CurrentProcessLocals().trace_id; }
+void SetCurrentTraceId(uint64_t id) { CurrentProcessLocals().trace_id = id; }
 
-uint64_t CurrentTraceId() { return t_current_trace_id; }
-void SetCurrentTraceId(uint64_t id) { t_current_trace_id = id; }
-
-TimePoint CurrentDeadlineAt() { return t_current_deadline_at; }
-void SetCurrentDeadlineAt(TimePoint at) { t_current_deadline_at = at; }
+TimePoint CurrentDeadlineAt() { return CurrentProcessLocals().deadline_at; }
+void SetCurrentDeadlineAt(TimePoint at) {
+  CurrentProcessLocals().deadline_at = at;
+}
 
 TraceBuffer::TraceBuffer() {
   // Anonymous pages read as zero (every slot empty) and cost nothing until

@@ -9,9 +9,10 @@
 // with DumpTrace(id) — the §3.4 "silent discard" made observable. Every
 // hop records, so recording takes no lock and allocates nothing.
 //
-// Propagation uses a thread-local current trace id: Receive sets it from
-// the dequeued message, Send inherits it (or mints a fresh one when the
-// thread has no active trace). This matches the process model — a guardian
+// Propagation uses a per-process current trace id (ProcessLocals, which a
+// task carries across carriers): Receive sets it from the dequeued
+// message, Send inherits it (or mints a fresh one when the process has no
+// active trace). This matches the process model — a guardian
 // process handles one message at a time — and costs nothing on the wire
 // beyond the 8-byte envelope field.
 #ifndef GUARDIANS_SRC_OBS_TRACE_H_
@@ -31,19 +32,19 @@
 
 namespace guardians {
 
-// The calling thread's active trace id; 0 means "no active trace". A new
+// The calling process's active trace id; 0 means "no active trace". A new
 // logical operation (e.g. one clerk transaction) clears it so the next Send
 // starts a fresh trace.
 uint64_t CurrentTraceId();
 void SetCurrentTraceId(uint64_t id);
 
-// The calling thread's inherited deadline: the instant, on the handling
+// The calling process's inherited deadline: the instant, on the handling
 // node's own clock, at which the message currently being processed runs
 // out of budget. TimePoint::max() means "no deadline". Receive sets it
 // from the dequeued message (unconditionally, so a budget never leaks
 // from one message into the next); nested sends (RemoteCall/FailoverCall)
 // clamp their own budgets to it — deadline propagation rides the same
-// thread-local channel as the trace id, at zero wire cost beyond the
+// per-process channel as the trace id, at zero wire cost beyond the
 // envelope's relative-budget field.
 TimePoint CurrentDeadlineAt();
 void SetCurrentDeadlineAt(TimePoint at);

@@ -3,11 +3,11 @@
 #ifndef GUARDIANS_SRC_RUNTIME_LATCH_H_
 #define GUARDIANS_SRC_RUNTIME_LATCH_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
 #include "src/common/clock.h"
+#include "src/common/task.h"
 
 namespace guardians {
 
@@ -46,7 +46,7 @@ class CountdownLatch {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  CondVar cv_;
   uint64_t count_;
 };
 

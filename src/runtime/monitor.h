@@ -10,13 +10,13 @@
 #ifndef GUARDIANS_SRC_RUNTIME_MONITOR_H_
 #define GUARDIANS_SRC_RUNTIME_MONITOR_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/clock.h"
+#include "src/common/task.h"
 
 namespace guardians {
 
@@ -60,7 +60,7 @@ class Monitor {
     void Broadcast() { cv_.notify_all(); }
 
    private:
-    std::condition_variable cv_;
+    CondVar cv_;
   };
 
  private:

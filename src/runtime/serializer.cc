@@ -4,7 +4,7 @@
 
 namespace guardians {
 
-Serializer::Serializer(size_t workers) {
+Serializer::Serializer(size_t workers, CarrierPool& pool) : workers_(pool) {
   for (size_t i = 0; i < workers; ++i) {
     Worker* record = records_.emplace_back(std::make_unique<Worker>()).get();
     workers_.Fork("serializer-worker-" + std::to_string(i),

@@ -12,7 +12,6 @@
 #ifndef GUARDIANS_SRC_RUNTIME_SERIALIZER_H_
 #define GUARDIANS_SRC_RUNTIME_SERIALIZER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -22,7 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/runtime/process.h"
+#include "src/common/task.h"
 
 namespace guardians {
 
@@ -30,8 +29,8 @@ class Serializer {
  public:
   using Task = std::function<void()>;
 
-  // Forks `workers` worker processes.
-  explicit Serializer(size_t workers);
+  // Forks `workers` worker processes on `pool`.
+  Serializer(size_t workers, CarrierPool& pool);
   // Drains the queue, then stops the workers.
   ~Serializer();
 
@@ -58,7 +57,7 @@ class Serializer {
   // A worker's wait record: parked, it sleeps on its own condition variable
   // until Enqueue puts a request in `handed` or the serializer stops.
   struct Worker {
-    std::condition_variable cv;
+    CondVar cv;
     std::optional<Request> handed;
   };
 
@@ -67,7 +66,7 @@ class Serializer {
   bool PopRunnable(Request& out);
 
   mutable std::mutex mu_;
-  std::condition_variable drain_cv_;  // Drain/dtor wait for quiescence
+  CondVar drain_cv_;  // Drain/dtor wait for quiescence
   std::deque<Request> queue_;         // requests handed to no worker
   std::unordered_set<uint64_t> busy_keys_;
   std::vector<std::unique_ptr<Worker>> records_;  // one per worker

@@ -1,5 +1,7 @@
 #include "src/services/cabinet.h"
 
+#include <optional>
+
 #include "src/guardian/system.h"
 #include "src/wire/value_codec.h"
 
@@ -121,19 +123,30 @@ void CabinetGuardian::HandleRequest(const Received& request) {
   } else if (request.command == "find_title") {
     const std::string& title = request.args[0].string_value();
     // The recovery path for stale tokens: look the document up by content
-    // and obtain a fresh token from the current incarnation.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < docs_.size(); ++i) {
-      if (docs_[i]->title() == title) {
-        reply("filed", {Value::OfToken(Seal(i))});
-        return;
+    // and obtain a fresh token from the current incarnation. The reply
+    // leaves with mu_ released: a send may park this process.
+    std::optional<size_t> filed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (size_t i = 0; i < docs_.size() && !filed.has_value(); ++i) {
+        if (docs_[i]->title() == title) {
+          filed = i;
+        }
       }
     }
-    reply("unknown_title", {});
+    if (filed.has_value()) {
+      reply("filed", {Value::OfToken(Seal(*filed))});
+    } else {
+      reply("unknown_title", {});
+    }
 
   } else if (request.command == "doc_count") {
-    std::lock_guard<std::mutex> lock(mu_);
-    reply("doc_count_is", {Value::Int(static_cast<int64_t>(docs_.size()))});
+    size_t count = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      count = docs_.size();
+    }
+    reply("doc_count_is", {Value::Int(static_cast<int64_t>(count))});
   }
 }
 

@@ -1,5 +1,7 @@
 #include "src/services/catalog.h"
 
+#include <optional>
+
 #include "src/guardian/system.h"
 #include "src/sendprims/remote_call.h"
 
@@ -78,23 +80,30 @@ void CatalogGuardian::HandleRequest(const Received& request) {
     }
   };
 
+  // Replies leave with mu_ released: a send may park this process (the
+  // dedup journal's write latency), and no process parks holding a mutex.
   if (request.command == "register_name") {
     const std::string& name = request.args[0].string_value();
     const PortName port = request.args[1].port_value();
+    std::optional<PortName> holder;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = names_.find(name);
       if (it != names_.end()) {
-        if (it->second == port) {
-          // Idempotent re-registration (a recovering guardian announcing
-          // itself again) succeeds.
-          reply("registered", {});
-        } else {
-          reply("name_taken", {Value::OfPort(it->second)});
-        }
-        return;
+        holder = it->second;
+      } else {
+        names_[name] = port;
       }
-      names_[name] = port;
+    }
+    if (holder.has_value()) {
+      if (*holder == port) {
+        // Idempotent re-registration (a recovering guardian announcing
+        // itself again) succeeds.
+        reply("registered", {});
+      } else {
+        reply("name_taken", {Value::OfPort(*holder)});
+      }
+      return;
     }
     Status st = log_->AppendValue(
         Value::Record({{"op", Value::Str("register")},
@@ -105,12 +114,18 @@ void CatalogGuardian::HandleRequest(const Received& request) {
 
   } else if (request.command == "lookup") {
     const std::string& name = request.args[0].string_value();
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = names_.find(name);
-    if (it == names_.end()) {
-      reply("unknown_name", {});
+    std::optional<PortName> found;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = names_.find(name);
+      if (it != names_.end()) {
+        found = it->second;
+      }
+    }
+    if (found.has_value()) {
+      reply("found", {Value::OfPort(*found)});
     } else {
-      reply("found", {Value::OfPort(it->second)});
+      reply("unknown_name", {});
     }
 
   } else if (request.command == "unregister") {

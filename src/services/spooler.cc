@@ -1,5 +1,6 @@
 #include "src/services/spooler.h"
 
+#include <optional>
 #include <thread>
 
 #include "src/guardian/system.h"
@@ -80,29 +81,39 @@ void SpoolerGuardian::Main() {
       reply("queued", {Value::Int(id)});
 
     } else if (received->command == "job_status") {
+      // Replies leave with mu_ released: a send may park this process, and
+      // the printer process takes mu_ too.
       const int64_t id = received->args[0].int_value();
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = states_.find(id);
-      if (it == states_.end()) {
-        reply("unknown_job", {});
+      std::optional<JobState> state;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = states_.find(id);
+        if (it != states_.end()) {
+          state = it->second;
+        }
+      }
+      if (state.has_value()) {
+        reply("job_state", {Value::Str(StateName(*state))});
       } else {
-        reply("job_state", {Value::Str(StateName(it->second))});
+        reply("unknown_job", {});
       }
 
     } else if (received->command == "cancel_job") {
       const int64_t id = received->args[0].int_value();
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = states_.find(id);
-      if (it == states_.end()) {
-        reply("unknown_job", {});
-      } else if (it->second == JobState::kQueued) {
-        it->second = JobState::kCanceled;
-        reply("canceled_job", {});
-      } else {
-        // Printing, done, or already canceled: the paper's asymmetry again —
-        // what has happened cannot be unhappened.
-        reply("too_late", {});
+      const char* answer = "unknown_job";
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = states_.find(id);
+        if (it != states_.end() && it->second == JobState::kQueued) {
+          it->second = JobState::kCanceled;
+          answer = "canceled_job";
+        } else if (it != states_.end()) {
+          // Printing, done, or already canceled: the paper's asymmetry
+          // again — what has happened cannot be unhappened.
+          answer = "too_late";
+        }
       }
+      reply(answer, {});
     }
   }
 }

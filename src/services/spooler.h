@@ -14,12 +14,12 @@
 #ifndef GUARDIANS_SRC_SERVICES_SPOOLER_H_
 #define GUARDIANS_SRC_SERVICES_SPOOLER_H_
 
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <string>
 
+#include "src/common/task.h"
 #include "src/guardian/node_runtime.h"
 #include "src/transmit/document.h"
 
@@ -53,7 +53,7 @@ class SpoolerGuardian : public Guardian {
 
   Micros per_word_{Micros(100)};
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
+  CondVar work_cv_;
   std::deque<Job> queue_;
   std::map<int64_t, JobState> states_;
   int64_t next_job_ = 1;

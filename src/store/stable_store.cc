@@ -36,7 +36,8 @@ Status StableStore::Mutate(Mutation kind, const std::string& name,
   return status;
 }
 
-Status StableStore::Append(const std::string& name, const Bytes& data) {
+Status StableStore::Append(const std::string& name, const Bytes& data,
+                           Micros* owed_latency) {
   Micros latency{0};
   const ClockSource* clock = nullptr;
   GUARDIANS_RETURN_IF_ERROR(
@@ -51,11 +52,25 @@ Status StableStore::Append(const std::string& name, const Bytes& data) {
         clock = clock_;
         return OkStatus();
       }));
-  if (latency.count() > 0) {
+  if (owed_latency != nullptr) {
+    *owed_latency += latency;
+  } else if (latency.count() > 0) {
     // Model the synchronous wait for the write to reach stable media.
     (clock != nullptr ? clock : WallClock::Get())->SleepFor(latency);
   }
   return OkStatus();
+}
+
+void StableStore::WaitOwed(Micros owed) const {
+  if (owed.count() <= 0) {
+    return;
+  }
+  const ClockSource* clock = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    clock = clock_;
+  }
+  (clock != nullptr ? clock : WallClock::Get())->SleepFor(owed);
 }
 
 Bytes StableStore::Read(const std::string& name) const {

@@ -37,7 +37,12 @@ class StableStore {
   StableStore& operator=(const StableStore&) = delete;
 
   // --- Streams (append-only) ----------------------------------------------
-  Status Append(const std::string& name, const Bytes& data);
+  // Returns once the write is stable: after the modelled write latency.
+  // With `owed_latency`, the latency is added there instead of waited, for
+  // a caller that holds a lock: it waits it with WaitOwed once the lock is
+  // released, before anything depends on the write.
+  Status Append(const std::string& name, const Bytes& data,
+                Micros* owed_latency = nullptr);
   // Whole contents; empty if the stream doesn't exist.
   Bytes Read(const std::string& name) const;
   size_t StreamSize(const std::string& name) const;
@@ -57,6 +62,9 @@ class StableStore {
   // --- Device model --------------------------------------------------------
   // Synchronous write latency applied on every Append (default: none).
   void SetWriteLatency(Micros latency);
+  // Waits `owed` of write latency (from Append's owed_latency) on the
+  // store's clock.
+  void WaitOwed(Micros owed) const;
   // Clock the modeled write latency sleeps on (borrowed; default: wall).
   // NodeRuntime points this at the node's clock so the device model runs
   // on simulated time with everything else.

@@ -31,7 +31,7 @@ uint64_t DecodeU64Le(const Bytes& in) {
 Wal::Wal(StableStore* store, std::string name)
     : store_(store), name_(std::move(name)) {}
 
-Status Wal::Append(const Bytes& payload) {
+Status Wal::Append(const Bytes& payload, Micros* owed_latency) {
   // One pre-sized frame: header and payload go into a single buffer
   // instead of encoding the header and then splicing the payload after it.
   WireEncoder enc;
@@ -39,7 +39,8 @@ Status Wal::Append(const Bytes& payload) {
   enc.PutU32(static_cast<uint32_t>(payload.size()));
   enc.PutU32(Crc32(payload));
   enc.PutBytes(payload);
-  GUARDIANS_RETURN_IF_ERROR(store_->Append(LogStream(), enc.Take()));
+  GUARDIANS_RETURN_IF_ERROR(
+      store_->Append(LogStream(), enc.Take(), owed_latency));
   appended_.fetch_add(1);
   return OkStatus();
 }
@@ -57,11 +58,12 @@ uint64_t Wal::CommittedEpoch() const {
 
 Status Wal::Checkpoint(Bytes snapshot) {
   const uint64_t epoch = CommittedEpoch() + 1;
-  // The cell is [u64 epoch][snapshot], built in the snapshot's own buffer.
-  const size_t size = snapshot.size();
-  snapshot.resize(8 + size);
-  std::copy_backward(snapshot.begin(), snapshot.begin() + size,
-                     snapshot.end());
+  // The cell is [u64 epoch][snapshot]: the epoch goes into the prefix the
+  // caller reserved.
+  if (snapshot.size() < kSnapshotPrefix) {
+    return Status(Code::kInvalidArgument,
+                  "checkpoint snapshot lacks its epoch prefix");
+  }
   const Bytes epoch_le = EncodeU64Le(epoch);
   std::copy(epoch_le.begin(), epoch_le.end(), snapshot.begin());
   GUARDIANS_RETURN_IF_ERROR(store_->PutCell(SnapCell(), std::move(snapshot)));

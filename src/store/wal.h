@@ -49,16 +49,21 @@ class Wal {
   // the node's stable store (one WAL per guardian resource).
   Wal(StableStore* store, std::string name);
 
-  // Append one record; returns only after it is stable.
-  Status Append(const Bytes& payload);
+  // Append one record; returns only after it is stable, or, with
+  // `owed_latency`, leaves the wait for stability to the caller
+  // (StableStore::Append).
+  Status Append(const Bytes& payload, Micros* owed_latency = nullptr);
   // Convenience: wire-encode a Value as the record payload.
   Status AppendValue(const Value& v);
 
   // Replace the checkpoint with `snapshot` and truncate the record log.
   // Crash-safe at any interior point (see the epoch protocol above); fails
   // with kStorageError when the device has failed, in which case the
-  // checkpoint may be half-done on media — recovery repairs it. A moved-in
-  // snapshot becomes the snapshot cell without a copy.
+  // checkpoint may be half-done on media — recovery repairs it. The
+  // snapshot's first kSnapshotPrefix bytes are reserved: Checkpoint writes
+  // the epoch there in place, and the moved-in buffer becomes the snapshot
+  // cell without a copy. What Recover returns as the snapshot is the rest.
+  static constexpr size_t kSnapshotPrefix = 8;
   Status Checkpoint(Bytes snapshot);
 
   // Read everything back (the recovery process's input). Non-const: it

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "src/airline/airline_system.h"
+#include "src/airline/flight_guardian.h"
 #include "src/airline/workload.h"
+#include "src/guardian/system.h"
 #include "src/sendprims/remote_call.h"
 
 namespace guardians {
@@ -205,6 +207,53 @@ TEST_F(AirlineTest, WorkloadRunsToCompletionAndStaysConsistent) {
       }
     }
   }
+}
+
+TEST(SerializerCreditTest, WorkerRepliesAreDeliveredByTheWorkerItself) {
+  // A serializer flight's dispatcher receives each reserve with the
+  // receive credit and hands it to the worker with the request, so the
+  // worker's reply is delivered inline: by the worker's own drain, never
+  // by the caller's shard worker. Without the hand-off no reply is.
+  SystemConfig config;
+  config.seed = 41;
+  config.default_link.latency = Micros(0);
+  System system(config);
+  NodeRuntime& client = system.AddNode("client");
+  NodeRuntime& region = system.AddNode("region");
+  client.RegisterGuardianType("shell", MakeFactory<ShellGuardian>());
+  region.RegisterGuardianType("flight", MakeFactory<FlightGuardian>());
+  FlightConfig flight;
+  flight.flight_no = 7;
+  flight.capacity = 1000;
+  flight.organization = FlightOrganization::kSerializer;
+  auto created = region.CreateGuardian("flight", "f7", flight.ToArgs());
+  ASSERT_TRUE(created.ok());
+  const PortName to = (*created)->ProvidedPorts()[0];
+  Guardian* shell = *client.Create<ShellGuardian>("shell", "clerk", {});
+  ASSERT_TRUE(system.WaitQuiescent());
+  // Replies travel to the client node: its shard, (id - 1) mod shards.
+  const std::string shard =
+      "net.shard." +
+      std::to_string((client.id() - 1) % system.network().shard_count()) +
+      ".batch.";
+  const MetricsRegistry& metrics = system.metrics();
+  const uint64_t drains = metrics.CounterValue(shard + "drains");
+  const uint64_t inlined = metrics.CounterValue(shard + "inline");
+  constexpr int kCalls = 50;
+  for (int i = 0; i < kCalls; ++i) {
+    RemoteCallOptions options;
+    options.timeout = Millis(5000);
+    auto reply = RemoteCall(
+        *shell, to, "reserve",
+        {Value::Str("p" + std::to_string(i)), Value::Str("1979-09-06")},
+        ReservationReplyType(), options);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->command, "ok");
+  }
+  EXPECT_EQ(metrics.CounterValue(shard + "drains") - drains,
+            uint64_t{kCalls});
+  EXPECT_EQ(metrics.CounterValue(shard + "inline") - inlined,
+            uint64_t{kCalls});
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "src/airline/flight_guardian.h"
 #include "src/guardian/system.h"
 #include "src/runtime/monitor.h"
-#include "src/runtime/process.h"
+#include "src/common/task.h"
 #include "src/runtime/serializer.h"
 #include "src/sendprims/remote_call.h"
 #include "src/store/wal.h"
@@ -56,7 +56,8 @@ TEST(MonitorBufferTest, ProducersAndConsumersMeetExactly) {
   constexpr int kPerProducer = 200;
   constexpr int kProducers = 3;
   std::atomic<int64_t> consumed_sum{0};
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   for (int p = 0; p < kProducers; ++p) {
     group.Fork("producer", [&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
@@ -80,7 +81,8 @@ TEST(MonitorBufferTest, ProducersAndConsumersMeetExactly) {
 class SerializerProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SerializerProperty, PerKeyOrderUnderRandomKeys) {
-  Serializer serializer(6);
+  CarrierPool pool;
+  Serializer serializer(6, pool);
   constexpr int kTasks = 300;
   Rng rng(GetParam());
   std::mutex mu;
@@ -112,7 +114,8 @@ TEST(KeyedMonitorChurnTest, ManyKeysManyThreadsNoLostExclusion) {
   constexpr int kKeys = 4;
   std::atomic<int> in_critical[kKeys] = {};
   std::atomic<bool> violated{false};
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   for (int t = 0; t < 6; ++t) {
     group.Fork("worker", [&, t] {
       Rng rng(t + 1);
@@ -136,7 +139,8 @@ TEST(WalConcurrencyTest, ParallelAppendsAllRecoverIntact) {
   Wal wal(&store, "g/parallel");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   for (int t = 0; t < kThreads; ++t) {
     group.Fork("appender", [&, t] {
       for (int i = 0; i < kPerThread; ++i) {

@@ -209,12 +209,22 @@ TEST(FlowSystemTest, FullPortNackFailsFastHalvesWindowAndCreditReopens) {
   EXPECT_EQ(system.metrics().CounterValue("sendprims.sync.full_nacks"), 1u);
 
   // A receiver starts draining: the retry waits out the congested hold,
-  // lands, and its receipt ack carries credit.
-  std::thread drain([receiver, target] {
+  // lands, and its receipt ack carries credit. The retry goes out once the
+  // receiver has taken the fill message: its hold is only 500 us, which on
+  // a loaded host can pass before a just-started thread empties the port.
+  std::atomic<int> taken{0};
+  std::thread drain([receiver, target, &taken] {
     for (int i = 0; i < 2; ++i) {
-      (void)receiver->Receive(target, Millis(5000));
+      if (receiver->Receive(target, Millis(5000)).ok()) {
+        taken.fetch_add(1);
+      }
     }
   });
+  const TimePoint give_up = Now() + Millis(5000);
+  while (taken.load() == 0 && Now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(target->depth(), 0u);
   Status retry =
       SyncSend(*sender, target->name(), "put", {Value::Str("x")}, Millis(5000));
   drain.join();

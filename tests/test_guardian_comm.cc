@@ -15,7 +15,6 @@
 #include "src/runtime/latch.h"
 #include "src/sendprims/remote_call.h"
 #include "src/sendprims/sync_send.h"
-#include "tests/wait_test_util.h"
 
 namespace guardians {
 namespace {
@@ -306,7 +305,7 @@ size_t ParkedWaiters(Guardian* guardian) {
   size_t n = 0;
   for (const WaitRecord* r = guardian->mailbox().waiters; r != nullptr;
        r = r->next) {
-    n += r->parked ? 1 : 0;
+    n += r->cv.HasWaiters() ? 1 : 0;
   }
   return n;
 }
@@ -405,19 +404,22 @@ struct ReceiveStart {
   Clock::duration recent_wait{0};
 };
 
-// Forks one receiver per port, each taking messages off its own port until
+// Starts one receiver per port, each taking messages off its own port until
 // its node goes down; counts the receives they begin, what they take and
 // their kNodeDown returns, and records each one's latest ReceiveStart in
-// `starts` (one per port).
-void ForkReceivers(Guardian* guardian, const std::vector<Port*>& ports,
-                   std::atomic<int>* begun, std::atomic<int>* taken,
-                   std::atomic<int>* node_down,
-                   std::vector<ReceiveStart>* starts) {
+// `starts` (one per port). The first `threads->size()` receivers are
+// threads of the test (which spin when their waits are short), the rest
+// processes of the guardian (tasks, which park).
+void StartReceivers(Guardian* guardian, const std::vector<Port*>& ports,
+                    std::atomic<int>* begun, std::atomic<int>* taken,
+                    std::atomic<int>* node_down,
+                    std::vector<ReceiveStart>* starts,
+                    std::vector<std::thread>* threads) {
   starts->assign(ports.size(), ReceiveStart{});
   for (size_t i = 0; i < ports.size(); ++i) {
     Port* port = ports[i];
     ReceiveStart* start = &(*starts)[i];
-    guardian->Fork("r" + std::to_string(i), [=] {
+    auto receiver = [=] {
       for (;;) {
         *start = ReceiveStart{Now(), internal::RecentWait()};
         begun->fetch_add(1);
@@ -430,15 +432,29 @@ void ForkReceivers(Guardian* guardian, const std::vector<Port*>& ports,
         }
         taken->fetch_add(1);
       }
-    });
+    };
+    if (i < threads->size()) {
+      (*threads)[i] = std::thread(receiver);
+    } else {
+      guardian->Fork("r" + std::to_string(i), receiver);
+    }
   }
 }
 
-// Crashes the node when it goes out of scope, so the receivers of a test
-// that stops early are gone before the state they count into.
+// Crashes the node when it goes out of scope, and joins the receiving
+// threads, so the receivers of a test that stops early are gone before the
+// state they count into.
 struct CrashOnExit {
   NodeRuntime* node;
-  ~CrashOnExit() { node->Crash(); }
+  std::vector<std::thread>* threads;
+  ~CrashOnExit() {
+    node->Crash();
+    for (std::thread& thread : *threads) {
+      if (thread.joinable()) {
+        thread.join();
+      }
+    }
+  }
 };
 
 // Feeds `ports` in lockstep for `rounds` rounds: one message to each, then
@@ -462,11 +478,13 @@ int Feed(const std::vector<Port*>& ports, const std::atomic<int>& taken,
 
 TEST_F(CommTest, CrashReturnsNodeDownToSpinningAndParkedReceivers) {
   // Sixteen receivers of one guardian, each on a port of its own. Twelve
-  // sleepers get nothing and park. Four runners are fed in lockstep until
-  // their waits are short enough to spin, and the crash comes as they wait
-  // for their next message. The crash must return kNodeDown to all
-  // sixteen. A wait the crash ends mid-spin counts as spun, so the counters
-  // say which kinds it met.
+  // sleepers are processes of the guardian (tasks); they get nothing and
+  // park. Four runners are threads of the test, the receivers that spin (a
+  // task never does): they are fed in lockstep until their waits are short
+  // enough to spin, and the crash comes as they wait for their next
+  // message. The crash must return kNodeDown to all sixteen. A wait the
+  // crash ends mid-spin counts as spun, so the counters say which kinds it
+  // met.
   //
   // Catching a runner mid-spin is a race with the 30 us budget, so each
   // attempt crashes a fresh guardian, up to five. Each measures its own
@@ -497,8 +515,10 @@ TEST_F(CommTest, CrashReturnsNodeDownToSpinningAndParkedReceivers) {
     std::atomic<int> taken{0};
     std::atomic<int> node_down{0};
     std::vector<ReceiveStart> starts;
-    CrashOnExit crash_on_exit{b_};
-    ForkReceivers(guardian, ports, &begun, &taken, &node_down, &starts);
+    std::vector<std::thread> runner_threads(kRunners);
+    CrashOnExit crash_on_exit{b_, &runner_threads};
+    StartReceivers(guardian, ports, &begun, &taken, &node_down, &starts,
+                   &runner_threads);
     ASSERT_TRUE(Eventually(
         [&] { return ParkedWaiters(guardian) == size_t{kReceivers}; }));
     const std::vector<Port*> runners(ports.begin(), ports.begin() + kRunners);
@@ -515,7 +535,10 @@ TEST_F(CommTest, CrashReturnsNodeDownToSpinningAndParkedReceivers) {
              Waiters(guardian) == size_t{kReceivers};
     }));
     const TimePoint crash_began = Now();
-    b_->Crash();  // returns once every receiver has returned
+    b_->Crash();  // returns once every receiving process has returned
+    for (std::thread& runner : runner_threads) {
+      runner.join();
+    }
     EXPECT_EQ(node_down.load(), kReceivers);
     caught_spinning = metrics.CounterValue("guardian.wait.spun") - spun;
     // The sleepers, at least (the node's own guardians wait too).
@@ -553,7 +576,10 @@ TEST_F(CommTest, ShortReceiveTimeoutsHoldWhileSpinning) {
   // Warm this thread up with receives that each wait ~5 us, so its next
   // waits spin. A spin never runs past the receive's deadline: a 20 us
   // timeout ends inside the spin, a 200 us one spins out its budget and
-  // parks for the rest. Both return kTimeout on time.
+  // parks for the rest. Both return kTimeout on time. Whether the short
+  // receive had to spin is decided from what this thread measured: the
+  // moving average of its own recent waits as that receive began. A busy
+  // host keeps the warm-up's waits long, and the test then skips.
   Port* port = receiver_->AddPort(TinyPortType(), 8);
   const MetricsRegistry& metrics = system_.metrics();
   constexpr int kWarm = 300;
@@ -583,9 +609,13 @@ TEST_F(CommTest, ShortReceiveTimeoutsHoldWhileSpinning) {
     }
   }
   bool short_timeout_parked = false;
+  Clock::duration recent_wait{0};  // as the short receive began
   for (const Micros timeout : {Micros(20), Micros(200)}) {
     const uint64_t spun = metrics.CounterValue("guardian.wait.spun");
     const uint64_t parked = metrics.CounterValue("guardian.wait.parked");
+    if (timeout < kSpinBudget) {
+      recent_wait = internal::RecentWait();
+    }
     const TimePoint begin = Now();
     auto out = receiver_->Receive(port, timeout);
     const int64_t took = ToMicros(Now() - begin);
@@ -603,10 +633,14 @@ TEST_F(CommTest, ShortReceiveTimeoutsHoldWhileSpinning) {
     }
   }
   if (short_timeout_parked) {
-    if (const char* why = wait_test::WhyShortWaitsMayNotSpin()) {
-      GTEST_SKIP() << "the warmed-up thread did not spin: " << why;
+    const std::string measured =
+        "this thread's waits averaged " +
+        std::to_string(ToMicros(recent_wait)) + " us as the 20 us receive "
+        "began (budget " + std::to_string(kSpinBudget.count()) + " us)";
+    if (recent_wait >= kSpinBudget) {
+      GTEST_SKIP() << "the warm-up left this thread cold: " << measured;
     }
-    ADD_FAILURE() << "the warmed-up thread did not spin on free CPUs";
+    ADD_FAILURE() << "the short receive parked although " << measured;
   }
 }
 

@@ -341,7 +341,11 @@ TEST(NodeRuntimeInlineTest, BackloggedReceiverLeavesItsRepliesToTheWorker) {
 
 // --- How blocked threads wait (DESIGN.md §8) -------------------------------
 
-// Counts what arrives on one roomy port (the no-wait stream's sink).
+// Counts what arrives on one roomy port (the no-wait stream's sink), and
+// measures its carriers. The sink is a task, so internal::RecentWait(),
+// read as a receive returns, is the moving average of the idle waits of
+// the carrier that resumed it: the average that carrier's next idle wait
+// decides by.
 class CountingSink : public Guardian {
  public:
   Status Setup(const ValueList&) override {
@@ -349,27 +353,56 @@ class CountingSink : public Guardian {
     return OkStatus();
   }
   void Main() override {
-    while (Receive(port(0), Micros::max()).ok()) {
+    TimePoint previous{};
+    bool previous_warm = false;
+    for (;;) {
+      // With its port empty, this receive parks the sink, and the carrier
+      // that ran it goes idle.
+      const bool parks = port(0)->depth() == 0;
+      if (!Receive(port(0), Micros::max()).ok()) {
+        return;
+      }
+      const TimePoint at = Now();
+      const Clock::duration carrier_wait = internal::RecentWait();
+      // A warm carrier went idle as this sink parked; if the next message
+      // came within a budget of the last, its spin must have caught it.
+      if (parks && previous_warm && at - previous < kSpinBudget) {
+        carrier_had_to_spin.store(true);
+      }
+      previous = at;
+      previous_warm = carrier_wait < kSpinBudget;
+      warmest_carrier_us.store(
+          std::min(warmest_carrier_us.load(), ToMicros(carrier_wait)));
       received.fetch_add(1);
     }
   }
   std::atomic<int> received{0};
+  std::atomic<bool> carrier_had_to_spin{false};
+  std::atomic<int64_t> warmest_carrier_us{INT64_MAX};
 };
 
 // A paced stream of no-wait sends, the shape of the paper's primitive: the
 // sending thread never receives, so the shard worker delivers every
 // message, and both it and the sink wait ~10 us (wall time) between
-// messages. Returns the world's registry after the sink took them all.
+// messages. The sink is a task, which parks; its carrier, idle between
+// messages, is what spins. Returns the world's counts after the sink took
+// them all.
 struct StreamWaits {
   uint64_t receive_spun = 0;
   uint64_t receive_parked = 0;
+  uint64_t carrier_spun = 0;
+  uint64_t carrier_parked = 0;
   uint64_t shard_spun = 0;
   uint64_t shard_parked = 0;
   bool report_names_them = false;
+  // What the sink measured of its carriers (CountingSink).
+  bool carrier_had_to_spin = false;
+  int64_t warmest_carrier_us = 0;
 };
 
+constexpr int kStreamMessages = 3000;
+
 StreamWaits RunPacedStream(SystemConfig config) {
-  constexpr int kMessages = 3000;
   config.seed = 406;
   config.default_link.latency = Micros(0);
   System system(config);
@@ -381,21 +414,26 @@ StreamWaits RunPacedStream(SystemConfig config) {
   CountingSink* sink = *b.Create<CountingSink>("sink", "sink", {});
   const PortName to = sink->ProvidedPorts()[0];
   TimePoint due = Now();
-  for (int i = 0; i < kMessages; ++i) {
+  for (int i = 0; i < kStreamMessages; ++i) {
     due += Micros(10);
     while (Now() < due) {
     }
     EXPECT_TRUE(generator->Send(to, "drop", {}).ok());
   }
   const TimePoint give_up = Now() + Millis(10'000);
-  while (sink->received.load() < kMessages && Now() < give_up) {
+  while (sink->received.load() < kStreamMessages && Now() < give_up) {
     std::this_thread::sleep_for(Micros(100));
   }
-  EXPECT_EQ(sink->received.load(), kMessages);
-  const MetricsRegistry& metrics = system.metrics();
+  EXPECT_EQ(sink->received.load(), kStreamMessages);
+  system.SyncCarrierStats();
   StreamWaits waits;
+  waits.carrier_had_to_spin = sink->carrier_had_to_spin.load();
+  waits.warmest_carrier_us = sink->warmest_carrier_us.load();
+  const MetricsRegistry& metrics = system.metrics();
   waits.receive_spun = metrics.CounterValue("guardian.wait.spun");
   waits.receive_parked = metrics.CounterValue("guardian.wait.parked");
+  waits.carrier_spun = metrics.CounterValue("runtime.carrier.wait.spun");
+  waits.carrier_parked = metrics.CounterValue("runtime.carrier.wait.parked");
   for (size_t k = 0; k < system.network().shard_count(); ++k) {
     const std::string prefix = "net.shard." + std::to_string(k) + ".wait.";
     waits.shard_spun += metrics.CounterValue(prefix + "spun");
@@ -404,31 +442,70 @@ StreamWaits RunPacedStream(SystemConfig config) {
   const std::string report = system.Report();
   waits.report_names_them =
       report.find("guardian.wait.parked") != std::string::npos &&
-      report.find(".wait.parked") != std::string::npos;
+      report.find("runtime.carrier.wait.parked") != std::string::npos;
   return waits;
 }
 
+// A cold thread's moving average of its waits (spin_park.cc) starts at
+// four spin budgets and moves an eighth of the way to each wait's length,
+// so it needs at least this many waits to fall under the budget even if
+// each lasted nothing: 4 * (7/8)^n < 1.
+constexpr uint64_t kWaitsToWarm = 11;
+
 // On the wall clock those short waits spin, and the registry says how
-// each blocked wait ended, receives and shard workers apart.
+// each blocked wait ended: the sink's receives (a task: always parked),
+// its idle carrier and the shard workers apart.
 TEST(NodeRuntimeWaitTest, ReportCountsHowReceivesAndShardWorkersWaited) {
   // A loaded host can stretch the waits past the spin budget; a fresh
-  // world gets up to two more tries to show the spins.
+  // world gets up to two more tries to show the spins. Whether a waiter
+  // had to spin is decided from what it measured. A carrier had to once
+  // the sink saw a warm one (its average under the budget) resume it,
+  // parked, and got its next message within a budget. The shard workers
+  // could not warm up when they waited fewer than kWaitsToWarm times: a
+  // stream their delivery cannot keep up with (a sanitized build) never
+  // leaves them idle. Otherwise a busy host or a thread-sanitized build
+  // may keep their waits long.
   StreamWaits waits = RunPacedStream(SystemConfig{});
   for (int retry = 0;
-       retry < 2 && (waits.receive_spun == 0 || waits.shard_spun == 0);
+       retry < 2 && (waits.carrier_spun == 0 || waits.shard_spun == 0);
        ++retry) {
     waits = RunPacedStream(SystemConfig{});
   }
-  EXPECT_GT(waits.receive_spun + waits.receive_parked, 0u);
+  EXPECT_GT(waits.receive_parked, 0u);
+  EXPECT_EQ(waits.receive_spun, 0u);  // a task never spins
+  EXPECT_GT(waits.carrier_spun + waits.carrier_parked, 0u);
   EXPECT_GT(waits.shard_spun + waits.shard_parked, 0u);
   EXPECT_TRUE(waits.report_names_them);
-  if (waits.receive_spun == 0 || waits.shard_spun == 0) {
-    if (const char* why = wait_test::WhyShortWaitsMayNotSpin()) {
-      GTEST_SKIP() << "short waits never spun: " << why;
+  std::string skipped;
+  if (waits.carrier_spun == 0) {
+    const std::string measured =
+        "the warmest carrier's idle waits averaged " +
+        std::to_string(waits.warmest_carrier_us) + " us (budget " +
+        std::to_string(kSpinBudget.count()) + " us)";
+    if (waits.carrier_had_to_spin) {
+      ADD_FAILURE() << "a warm carrier's next message came within the "
+                       "budget, yet no carrier spun; "
+                    << measured;
+    } else {
+      skipped += "\n  no carrier had to spin: " + measured;
     }
-    ADD_FAILURE() << "short waits never spun on free CPUs (receives "
-                  << waits.receive_spun << ", shards " << waits.shard_spun
-                  << ")";
+  }
+  if (waits.shard_spun == 0) {
+    const uint64_t shard_waits = waits.shard_spun + waits.shard_parked;
+    if (shard_waits < kWaitsToWarm) {
+      skipped += "\n  the shard workers waited " +
+                 std::to_string(shard_waits) + " times in " +
+                 std::to_string(kStreamMessages) +
+                 " messages, too few to warm up";
+    } else if (const char* why = wait_test::WhyShortWaitsMayNotSpin()) {
+      skipped += "\n  no shard worker spun: " + std::string(why);
+    } else {
+      ADD_FAILURE() << "no shard worker spun on free CPUs in "
+                    << shard_waits << " waits";
+    }
+  }
+  if (!skipped.empty() && !HasFailure()) {
+    GTEST_SKIP() << "a waiter never had to spin:" << skipped;
   }
 }
 
@@ -442,8 +519,10 @@ TEST(NodeRuntimeWaitTest, NothingSpinsOnASimulatedClock) {
   config.sim_clock = &sim;
   const StreamWaits waits = RunPacedStream(config);
   EXPECT_EQ(waits.receive_spun, 0u);
+  EXPECT_EQ(waits.carrier_spun, 0u);
   EXPECT_EQ(waits.shard_spun, 0u);
   EXPECT_GT(waits.receive_parked, 0u);
+  EXPECT_GT(waits.carrier_parked, 0u);
 
   ChaosConfig chaos;
   chaos.seed = 11;

@@ -8,7 +8,7 @@
 #include "src/common/clock.h"
 #include "src/runtime/latch.h"
 #include "src/runtime/monitor.h"
-#include "src/runtime/process.h"
+#include "src/common/task.h"
 #include "src/runtime/serializer.h"
 
 namespace guardians {
@@ -16,14 +16,16 @@ namespace {
 
 TEST(ProcessTest, RunsBodyAndReportsDone) {
   std::atomic<bool> ran{false};
-  Process p("t", [&] { ran = true; });
+  CarrierPool pool;
+  Process p(pool, "t", [&] { ran = true; });
   p.Join();
   EXPECT_TRUE(ran.load());
   EXPECT_TRUE(p.Done());
 }
 
 TEST(ProcessGroupTest, JoinAllJoinsNestedForks) {
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   std::atomic<int> count{0};
   group.Fork("outer", [&] {
     ++count;
@@ -35,7 +37,8 @@ TEST(ProcessGroupTest, JoinAllJoinsNestedForks) {
 }
 
 TEST(ProcessGroupTest, ReapReleasesFinishedOnly) {
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   CountdownLatch hold(1);
   group.Fork("fast", [] {});
   group.Fork("slow", [&] { hold.Wait(); });
@@ -51,7 +54,8 @@ TEST(ProcessGroupTest, ReapReleasesFinishedOnly) {
 }
 
 TEST(ProcessGroupTest, ManyForksAllRun) {
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   std::atomic<int> count{0};
   for (int i = 0; i < 64; ++i) {
     group.Fork("p" + std::to_string(i), [&] { ++count; });
@@ -64,7 +68,8 @@ TEST(KeyedMonitorTest, MutualExclusionPerKey) {
   KeyedMonitor<std::string> monitor;
   std::atomic<int> in_critical{0};
   std::atomic<bool> violated{false};
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   for (int i = 0; i < 8; ++i) {
     group.Fork("p" + std::to_string(i), [&] {
       for (int j = 0; j < 50; ++j) {
@@ -85,7 +90,8 @@ TEST(KeyedMonitorTest, MutualExclusionPerKey) {
 TEST(KeyedMonitorTest, DistinctKeysProceedConcurrently) {
   KeyedMonitor<int> monitor;
   CountdownLatch both_inside(2);
-  ProcessGroup group;
+  CarrierPool pool;
+  ProcessGroup group(pool);
   for (int key : {1, 2}) {
     group.Fork("k" + std::to_string(key), [&, key] {
       KeyedMonitor<int>::Request request(monitor, key);
@@ -100,7 +106,8 @@ TEST(KeyedMonitorTest, DistinctKeysProceedConcurrently) {
 }
 
 TEST(SerializerTest, ExecutesEverythingOnce) {
-  Serializer serializer(4);
+  CarrierPool pool;
+  Serializer serializer(4, pool);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     serializer.Enqueue(i % 5, [&] { ++count; });
@@ -111,7 +118,8 @@ TEST(SerializerTest, ExecutesEverythingOnce) {
 }
 
 TEST(SerializerTest, SameKeyIsFifoAndExclusive) {
-  Serializer serializer(4);
+  CarrierPool pool;
+  Serializer serializer(4, pool);
   std::vector<int> order;
   std::mutex order_mu;
   std::atomic<int> inside{0};
@@ -138,7 +146,8 @@ TEST(SerializerTest, SameKeyIsFifoAndExclusive) {
 }
 
 TEST(SerializerTest, DistinctKeysOverlap) {
-  Serializer serializer(4);
+  CarrierPool pool;
+  Serializer serializer(4, pool);
   CountdownLatch overlap(2);
   for (int key : {1, 2}) {
     serializer.Enqueue(key, [&] {
@@ -151,7 +160,8 @@ TEST(SerializerTest, DistinctKeysOverlap) {
 }
 
 TEST(SerializerTest, BusyKeyDoesNotBlockLaterKeys) {
-  Serializer serializer(2);
+  CarrierPool pool;
+  Serializer serializer(2, pool);
   CountdownLatch release(1);
   CountdownLatch other_ran(1);
   serializer.Enqueue(1, [&] { release.Wait(); });
@@ -165,7 +175,8 @@ TEST(SerializerTest, BusyKeyDoesNotBlockLaterKeys) {
 }
 
 TEST(SerializerTest, DrainWaitsForRunningTasks) {
-  Serializer serializer(2);
+  CarrierPool pool;
+  Serializer serializer(2, pool);
   std::atomic<bool> finished{false};
   serializer.Enqueue(1, [&] {
     std::this_thread::sleep_for(Millis(20));
@@ -176,7 +187,8 @@ TEST(SerializerTest, DrainWaitsForRunningTasks) {
 }
 
 TEST(SerializerTest, QueueDepthTracked) {
-  Serializer serializer(1);
+  CarrierPool pool;
+  Serializer serializer(1, pool);
   CountdownLatch release(1);
   serializer.Enqueue(1, [&] { release.Wait(); });
   for (int i = 0; i < 10; ++i) {
@@ -190,7 +202,8 @@ TEST(SerializerTest, QueueDepthTracked) {
 TEST(SerializerTest, FinishingATaskWakesNoIdleWorker) {
   // One awaited task at a time on four workers: each task needs one wake,
   // and finishing it has nothing to hand to the three idle workers.
-  Serializer serializer(4);
+  CarrierPool pool;
+  Serializer serializer(4, pool);
   for (int i = 0; i < 500; ++i) {
     CountdownLatch done(1);
     serializer.Enqueue(i % 3, [&] { done.CountDown(); });
@@ -205,7 +218,8 @@ TEST(SerializerTest, FreedKeyGoesToASleepingWorkerWhenTheFinisherTakesAnother) {
   // Task A1 queues B (a free key) and then A2 (its own, busy key). When A1
   // returns, its worker may take B, the earlier request, before the other
   // worker wakes; B then waits for A2, so A2 must reach the sleeping worker.
-  Serializer serializer(2);
+  CarrierPool pool;
+  Serializer serializer(2, pool);
   std::atomic<int> stuck{0};
   for (int round = 0; round < 200; ++round) {
     CountdownLatch a2_ran(1);

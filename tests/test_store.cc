@@ -12,6 +12,15 @@
 namespace guardians {
 namespace {
 
+// A checkpoint snapshot: Wal::kSnapshotPrefix bytes reserved for the epoch,
+// then the payload.
+Bytes Snapshot(std::string_view payload) {
+  Bytes snapshot(Wal::kSnapshotPrefix, 0);
+  const Bytes bytes = ToBytes(payload);
+  snapshot.insert(snapshot.end(), bytes.begin(), bytes.end());
+  return snapshot;
+}
+
 TEST(StableStoreTest, StreamsAppendAndRead) {
   StableStore store;
   ASSERT_TRUE(store.Append("log", ToBytes("abc")).ok());
@@ -232,7 +241,7 @@ TEST(WalTest, CheckpointReplacesPrefix) {
   Wal wal(&store, "g/cp");
   ASSERT_TRUE(wal.Append(ToBytes("old-1")).ok());
   ASSERT_TRUE(wal.Append(ToBytes("old-2")).ok());
-  ASSERT_TRUE(wal.Checkpoint(ToBytes("SNAP")).ok());
+  ASSERT_TRUE(wal.Checkpoint(Snapshot("SNAP")).ok());
   ASSERT_TRUE(wal.Append(ToBytes("new-1")).ok());
   auto recovery = wal.Recover();
   ASSERT_TRUE(recovery.ok());
@@ -242,12 +251,31 @@ TEST(WalTest, CheckpointReplacesPrefix) {
   EXPECT_EQ(ToString(recovery->records[0]), "new-1");
 }
 
+TEST(WalTest, CheckpointCellKeepsItsBytes) {
+  // Checkpoint writes the epoch into the prefix the caller reserved; the
+  // cells must hold what the writer that copied the snapshot behind the
+  // epoch left (these bytes were taken from it).
+  StableStore store;
+  Wal wal(&store, "g/pin");
+  ASSERT_TRUE(wal.Append(ToBytes("op")).ok());
+  ASSERT_TRUE(wal.Checkpoint(Snapshot("SNAP1")).ok());
+  ASSERT_TRUE(wal.Checkpoint(Snapshot("SNAP2")).ok());
+  auto snap = store.GetCell("g/pin.snap");
+  auto epoch = store.GetCell("g/pin.epoch");
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(epoch.ok());
+  EXPECT_EQ(*snap, (Bytes{2, 0, 0, 0, 0, 0, 0, 0, 'S', 'N', 'A', 'P', '2'}));
+  EXPECT_EQ(*epoch, (Bytes{2, 0, 0, 0, 0, 0, 0, 0}));
+  // A snapshot without room for the epoch is refused, not truncated.
+  EXPECT_EQ(wal.Checkpoint(ToBytes("SNAP")).code(), Code::kInvalidArgument);
+}
+
 TEST(WalTest, CheckpointPropagatesDeviceFailure) {
   StableStore store;
   Wal wal(&store, "g/devfail");
   ASSERT_TRUE(wal.Append(ToBytes("op-1")).ok());
   store.SetFailed(true);
-  EXPECT_EQ(wal.Checkpoint(ToBytes("SNAP")).code(), Code::kStorageError);
+  EXPECT_EQ(wal.Checkpoint(Snapshot("SNAP")).code(), Code::kStorageError);
   store.SetFailed(false);
   // The failed checkpoint left no committed snapshot; the log still wins.
   auto recovery = wal.Recover();
@@ -261,14 +289,14 @@ TEST(WalTest, CrashBetweenSnapshotWriteAndTruncateRollsForward) {
   StableStore store;
   Wal wal(&store, "g/mid");
   ASSERT_TRUE(wal.Append(ToBytes("old-1")).ok());
-  ASSERT_TRUE(wal.Checkpoint(ToBytes("SNAP1")).ok());
+  ASSERT_TRUE(wal.Checkpoint(Snapshot("SNAP1")).ok());
   ASSERT_TRUE(wal.Append(ToBytes("covered-1")).ok());
   ASSERT_TRUE(wal.Append(ToBytes("covered-2")).ok());
 
   // Crash the checkpoint through the real injection machinery, right after
   // its first mutation: the snapshot write, before the truncate.
   EXPECT_EQ(CrashWith(store, {1, CrashWhen::kAfter},
-                      [&] { (void)wal.Checkpoint(ToBytes("SNAP2")); }),
+                      [&] { (void)wal.Checkpoint(Snapshot("SNAP2")); }),
             "put_cell g/mid.snap");
 
   // The new snapshot is on media but the covered records were never
