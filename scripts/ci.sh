@@ -38,7 +38,9 @@
 # A grep lint runs before everything: src/ and tests/ must read time only
 # through the §15 ClockSource seam, never raw std::chrono clocks. The
 # tier-1 build must print no compiler warning, and neither must an -O3
-# (release preset) build of every src/ library.
+# (release preset) build of every src/ library. Tier-1 also builds the
+# sampling profiler (scripts/profile/) and runs its self-test: in a small
+# program with a known hot function, that function must top the report.
 #
 # The chaos stage runs the deterministic chaos harness (bench_chaos: three
 # pinned seeds of composed faults — partitions, one-way cuts, campus cuts,
@@ -58,8 +60,9 @@
 #
 # --stress (opt-in) runs four copies of test_chaos and four of
 # test_node_runtime at once after the tier-1 suite, then four copies each
-# of test_runtime and test_guardian_comm, then four of test_tasks, and
-# fails if any copy fails. The suites that decide quiescence by wall-clock
+# of test_runtime and test_guardian_comm, then four of test_tasks, then
+# four of test_dedup (whose window probe and rotation crashes share the
+# host with the other copies), and fails if any copy fails. The suites that decide quiescence by wall-clock
 # quiet are the ones CPU contention breaks, and spinning waits change that
 # contention; the serializer's hand-off, the spin test's own premise and
 # the task runtime (carriers shared by four loaded copies) are checked the
@@ -149,6 +152,9 @@ echo "release build ok: no compiler warnings in src/ at -O3"
 echo "==> tier-1: ctest (full suite)"
 ctest --preset default -j "$JOBS"
 
+echo "==> tier-1: sampling profiler self-test (scripts/profile/)"
+bash scripts/profile/selftest.sh
+
 if [[ "$RUN_STRESS" -eq 1 ]]; then
   mkdir -p build/stress
   STRESS_FAILED=0
@@ -177,6 +183,7 @@ if [[ "$RUN_STRESS" -eq 1 ]]; then
   stress_wave test_chaos test_node_runtime
   stress_wave test_runtime test_guardian_comm
   stress_wave test_tasks
+  stress_wave test_dedup
   if [[ "$STRESS_FAILED" -gt 0 ]]; then
     echo "stress FAIL: $STRESS_FAILED of $STRESS_COPIES copies failed" >&2
     exit 1

@@ -16,6 +16,7 @@
 #include "src/airline/types.h"
 #include "src/bank/branch_guardian.h"
 #include "src/fault/fault_injector.h"
+#include "src/fault/plant.h"
 #include "src/fault/supervisor.h"
 #include "src/guardian/system.h"
 #include "src/net/topology.h"
@@ -1570,8 +1571,8 @@ ChaosReport ChaosEngine::RunSchedule(const std::vector<ChaosEvent>& schedule) {
   ChaosReport report;
   report.seed = config_.seed;
   report.schedule = schedule;
-  NodeRuntime::SetSkipDedupJournalForTesting(config_.plant_dedup_bug);
-  NodeRuntime::SetDedupSweepOnLocalClockForTesting(config_.plant_clock_bug);
+  SetPlant(Plant::kSkipDedupJournal, config_.plant_dedup_bug);
+  SetPlant(Plant::kDedupSweepOnLocalClock, config_.plant_clock_bug);
   // The virtual clock must outlive the world (every wait in it is
   // registered here) and its auto-stepper runs for the whole lifetime:
   // any phase of the run — construction, workload, teardown — may block
@@ -1584,8 +1585,8 @@ ChaosReport ChaosEngine::RunSchedule(const std::vector<ChaosEvent>& schedule) {
   {
     auto world = BuildWorld(config_, sim.get());
     if (!world.ok()) {
-      NodeRuntime::SetSkipDedupJournalForTesting(false);
-      NodeRuntime::SetDedupSweepOnLocalClockForTesting(false);
+      SetPlant(Plant::kSkipDedupJournal, false);
+      SetPlant(Plant::kDedupSweepOnLocalClock, false);
       report.violations.push_back(
           {-1, "harness.build", world.status().ToString()});
       return report;
@@ -1606,8 +1607,8 @@ ChaosReport ChaosEngine::RunSchedule(const std::vector<ChaosEvent>& schedule) {
   if (sim) {
     sim->StopAutoStep();
   }
-  NodeRuntime::SetSkipDedupJournalForTesting(false);
-  NodeRuntime::SetDedupSweepOnLocalClockForTesting(false);
+  SetPlant(Plant::kSkipDedupJournal, false);
+  SetPlant(Plant::kDedupSweepOnLocalClock, false);
   return report;
 }
 

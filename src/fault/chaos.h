@@ -121,8 +121,8 @@ struct ChaosConfig {
   // Epilogue budget: heal everything, restart what is down, and wait for
   // the system to answer probes before the final invariant pass.
   Micros settle_deadline{Millis(15000)};
-  // Plant the known at-most-once bug (NodeRuntime skips the dedup journal
-  // write) for the shrinker proof. Tests only.
+  // Plant the known at-most-once bug (the dedup layer skips the journal
+  // write; Plant::kSkipDedupJournal) for the shrinker proof. Tests only.
   bool plant_dedup_bug = false;
   // Run the whole world on a SimulatedClock owned by RunSchedule (with an
   // auto-stepper driving virtual time). Unlocks the clock-skew / drift /
@@ -134,11 +134,11 @@ struct ChaosConfig {
   // (0 = sweep disabled). Only meaningful with sim_time skew schedules or
   // very long runs.
   Micros dedup_session_idle{0};
-  // Plant the TTL-on-local-clock bug (NodeRuntime measures dedup-session
-  // idleness on the node's skewable clock instead of the monotonic base
-  // clock). Only a sim_time schedule with a forward skew step >= the idle
-  // horizon can expose it — wall-clock chaos cannot reproduce it
-  // deterministically. Tests only.
+  // Plant the TTL-on-local-clock bug (Plant::kDedupSweepOnLocalClock: the
+  // dedup layer measures session idleness on the node's skewable clock
+  // instead of the monotonic base clock). Only a sim_time schedule with a
+  // forward skew step >= the idle horizon can expose it — wall-clock chaos
+  // cannot reproduce it deterministically. Tests only.
   bool plant_clock_bug = false;
 };
 

@@ -18,23 +18,15 @@ namespace guardians {
 
 namespace {
 
-// See NodeRuntime::SetSkipDedupJournalForTesting: the chaos harness plants
-// this bug to prove its shrinker can find it.
-std::atomic<bool> g_skip_dedup_journal{false};
-// See NodeRuntime::SetDedupSweepOnLocalClockForTesting.
-std::atomic<bool> g_dedup_sweep_local_clock{false};
-
 constexpr GuardianId kPrimordialId = 1;
 constexpr char kMetaLogName[] = "node/meta";
 constexpr char kNextIdCell[] = "node/next_guardian_id";
-constexpr char kDedupLogName[] = "node/dedup";
 
-// Every record of a log that is rewritten by checkpoint (the meta log on
-// DestroyGuardian, the dedup journal on compaction), decoded: the
-// snapshot's, then the log's. Such a snapshot is the kept records back to
-// back, each a length-prefixed blob, installed by one crash-atomic
-// Wal::Checkpoint: recovery finds either the old log or the kept records,
-// never a truncated log without them.
+// Every record of the meta log, which DestroyGuardian rewrites by
+// checkpoint, decoded: the snapshot's, then the log's. The snapshot is the
+// kept records back to back, each a length-prefixed blob, installed by one
+// crash-atomic Wal::Checkpoint: recovery finds either the old log or the
+// kept records, never a truncated log without them.
 Result<std::vector<Value>> RecoverRecords(Wal& wal) {
   GUARDIANS_ASSIGN_OR_RETURN(WalRecovery recovery, wal.Recover());
   std::vector<Value> values;
@@ -166,6 +158,12 @@ NodeRuntime::NodeRuntime(System* system, NodeId id, std::string name,
                          uint64_t seed)
     : system_(system), id_(id), name_(std::move(name)),
       clock_(system->clock_for_node(id)), rng_(seed),
+      dedup_(&stable_store_, system->clock(), clock_,
+             system->config().dedup_session_idle,
+             DedupLayer::Counters{
+                 system->metrics().counter("node.dedup.journaled"),
+                 system->metrics().counter("node.dedup.sessions_expired"),
+                 system->metrics().counter("node.dedup.rotations")}),
       flow_(system->config().flow, &system->metrics(), &system->traces(),
             id, system->clock_for_node(id)) {
   stable_store_.SetClock(clock_);
@@ -191,9 +189,7 @@ NodeRuntime::NodeRuntime(System* system, NodeId id, std::string name,
   counters_.acks_sent = metrics.counter("deliver.acks_sent");
   counters_.dup_suppressed = metrics.counter("deliver.dup.suppressed");
   counters_.dup_replayed = metrics.counter("deliver.dup.replayed");
-  counters_.dedup_journaled = metrics.counter("node.dedup.journaled");
-  counters_.dedup_sessions_expired =
-      metrics.counter("node.dedup.sessions_expired");
+  counters_.dup_below_window = metrics.counter("deliver.dup.below_window");
   counters_.control_overflow = metrics.counter("deliver.control_overflow");
   counters_.nacks_shed = metrics.counter("flow.nacks_shed");
   counters_.reassembly_expired = metrics.counter("net.reassembly.expired");
@@ -529,9 +525,7 @@ void NodeRuntime::FinishCrash() {
     // The dedup table is volatile state of the dead incarnation; the next
     // Restart rebuilds what matters (seen floors, cached replies) from the
     // dedup journal.
-    std::lock_guard<std::mutex> lock(dedup_mu_);
     dedup_.Clear();
-    pending_replies_.clear();
   }
 }
 
@@ -574,7 +568,7 @@ Status NodeRuntime::RestartImpl() {
   dedup_seq_.store(0);
   // Rebuild the receiver-side dedup state from the journal before any
   // traffic can arrive, so retries of pre-crash operations are recognised.
-  GUARDIANS_RETURN_IF_ERROR(RecoverDedup());
+  GUARDIANS_RETURN_IF_ERROR(dedup_.Recover());
 
   // Window state learned against the dead incarnation's ports is stale;
   // start the new incarnation's windows from initial_window.
@@ -681,7 +675,7 @@ Status NodeRuntime::Transmit(Envelope env) {
   // If this send answers a tracked request, journal and cache it *before*
   // it can reach the wire: once the sender has seen the reply, the reply
   // must survive our crash, or a retry would re-execute the operation.
-  MaybeJournalReply(env);
+  dedup_.JournalReply(env);
   // Step 3: fragment and hand to the network. The sender continues as soon
   // as this returns; delivery is not guaranteed. The hop's trace event
   // carries no detail: trace id, node and point already identify it.
@@ -736,7 +730,6 @@ void NodeRuntime::SendAck(const Received& message) {
     // The application has genuinely dequeued this tracked message; from
     // now on a suppressed duplicate may be answered with a replacement
     // ack (the original ack might be the very packet that was lost).
-    std::lock_guard<std::mutex> lock(dedup_mu_);
     dedup_.MarkAcked(message.session_id, message.dedup_seq);
   }
   Envelope env;
@@ -982,31 +975,7 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Inbound>& batch) {
   // unroutable fresh envelope is deliberately NOT marked: its retry must
   // execute once the target exists.
   {
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    // Activity stamps use the system's monotonic base clock: session
-    // idleness is a TTL, and TTLs measured on a skewable clock misfire on
-    // every jump. (Under the wall clock this is the same clock as the
-    // node view.)
-    const TimePoint gate_now = system_->clock()->Now();
-    uint64_t expired_sessions = 0;
-    const Micros idle = system_->config().dedup_session_idle;
-    if (idle.count() > 0) {
-      // Idle-session GC, amortized like the reassembler sweep: at most
-      // once per idle/4. The sweep measures against the same monotonic
-      // clock the stamps were written with — unless the planted
-      // local-clock bug is armed, in which case it consults the node's
-      // skewable view and a forward skew step >= idle expires sessions
-      // that are in active use.
-      const TimePoint sweep_now =
-          g_dedup_sweep_local_clock.load(std::memory_order_relaxed)
-              ? clock_->Now()
-              : gate_now;
-      if (sweep_now - dedup_last_sweep_ >= idle / 4 ||
-          sweep_now < dedup_last_sweep_) {
-        expired_sessions = dedup_.ExpireIdleSessions(sweep_now, idle);
-        dedup_last_sweep_ = sweep_now;
-      }
-    }
+    DedupLayer::Gate gate(dedup_);
     for (Inbound& in : batch) {
       const Envelope& e = in.env;
       if (in.action == Action::kExpired) {
@@ -1018,25 +987,14 @@ void NodeRuntime::DispatchEnvelopes(std::vector<Inbound>& batch) {
       if (!e.Tracked()) {
         continue;
       }
-      in.verdict = dedup_.Classify(e.session_id, e.dedup_seq, &in.replay);
-      dedup_.Touch(e.session_id, gate_now);
+      in.verdict = gate.Classify(e, &in.replay, &in.original_acked);
       if (in.verdict != DedupTable::Verdict::kFresh) {
-        in.original_acked = dedup_.Acked(e.session_id, e.dedup_seq);
         in.action = Action::kSuppress;
         continue;
       }
-      if (in.action != Action::kPush) {
-        continue;
+      if (in.action == Action::kPush) {
+        gate.Admit(e);
       }
-      dedup_.MarkSeen(e.session_id, e.dedup_seq);
-      dedup_.Touch(e.session_id, gate_now);
-      if (e.HasReply()) {
-        pending_replies_[e.reply_to] =
-            PendingReply{e.session_id, e.dedup_seq};
-      }
-    }
-    if (expired_sessions > 0) {
-      counters_.dedup_sessions_expired->Inc(expired_sessions);
     }
   }
 
@@ -1151,16 +1109,7 @@ void NodeRuntime::FinishExpiredAtDequeue(Received message) {
     // message seen when it was enqueued, but it never executed — an
     // in-deadline retry of the same (session, seq) must classify fresh
     // and execute exactly once.
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    dedup_.Unmark(message.session_id, message.dedup_seq);
-    if (!message.reply_to.IsNull()) {
-      auto it = pending_replies_.find(message.reply_to);
-      if (it != pending_replies_.end() &&
-          it->second.session == message.session_id &&
-          it->second.seq == message.dedup_seq) {
-        pending_replies_.erase(it);
-      }
-    }
+    dedup_.RollBack(message.session_id, message.dedup_seq, message.reply_to);
   }
   counters_.expired_dequeue->Inc();
   system_->traces().Record(message.trace_id, id_, "deliver.expired.queue",
@@ -1187,16 +1136,7 @@ void NodeRuntime::FinishPushFailed(const Envelope& env, const Port& port,
                                    PushResult pushed) {
   if (env.Tracked()) {
     // Roll back the dedup gate's mark so a retry can still land.
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    dedup_.Unmark(env.session_id, env.dedup_seq);
-    if (env.HasReply()) {
-      auto it = pending_replies_.find(env.reply_to);
-      if (it != pending_replies_.end() &&
-          it->second.session == env.session_id &&
-          it->second.seq == env.dedup_seq) {
-        pending_replies_.erase(it);
-      }
-    }
+    dedup_.RollBack(env.session_id, env.dedup_seq, env.reply_to);
   }
   if (pushed == PushResult::kRetired) {
     // A retired port is not a full one: the sender learns that retrying
@@ -1237,6 +1177,9 @@ void NodeRuntime::FinishSuppressed(const Envelope& env,
                                    DedupTable::CachedReply replay,
                                    bool original_acked) {
   counters_.dup_suppressed->Inc();
+  if (verdict == DedupTable::Verdict::kBelowWindow) {
+    counters_.dup_below_window->Inc();
+  }
   system_->traces().Record(env.trace_id, id_, "dedup.suppressed",
                            env.command + " seq " +
                                std::to_string(env.dedup_seq));
@@ -1265,13 +1208,20 @@ void NodeRuntime::FinishSuppressed(const Envelope& env,
     // the resend joins the retry's causal chain, and the duplicate's reply
     // port (retries reuse one reply port; fall back on the cached one for
     // a blind network duplicate).
+    auto args =
+        DedupLayer::ReplayArgs(replay, transmit_registry_.AsDecodeFn());
+    if (!args.ok()) {
+      GLOG_ERROR << "cannot replay the cached reply for dedup seq "
+                 << env.dedup_seq << ": " << args.status();
+      return;
+    }
     Envelope reply;
     reply.msg_id = NextMsgId();
     reply.trace_id = env.trace_id;
     reply.src_node = id_;
     reply.target = env.HasReply() ? env.reply_to : replay.reply_to;
     reply.command = std::move(replay.command);
-    reply.args = std::move(replay.args);
+    reply.args = std::move(*args);
     system_->traces().Record(env.trace_id, id_, "dedup.replayed",
                              reply.command + " -> " +
                                  reply.target.ToString());
@@ -1318,203 +1268,6 @@ void NodeRuntime::SendFlowNack(const Envelope& dropped, const Port& port) {
   Status st = Transmit(std::move(env));
   (void)st;
   counters_.failures_synthesized->Inc();
-}
-
-void NodeRuntime::SetSkipDedupJournalForTesting(bool skip) {
-  g_skip_dedup_journal.store(skip, std::memory_order_relaxed);
-}
-
-void NodeRuntime::SetDedupSweepOnLocalClockForTesting(bool local) {
-  g_dedup_sweep_local_clock.store(local, std::memory_order_relaxed);
-}
-
-Status EncodeDedupRecord(uint64_t session, uint64_t seq, uint64_t high_water,
-                         const DedupTable::CachedReply& reply,
-                         WireEncoder& enc) {
-  // The Wal's limits, as AppendValue would apply them.
-  const WireLimits& limits = DefaultLimits();
-  if (reply.command.size() > limits.max_blob_bytes) {
-    return Status(Code::kEncodeError, "string exceeds system blob bound");
-  }
-  // Field names, tags, ids, the port name and the length prefixes take at
-  // most 101 bytes; each arg's encoding is within its ApproxSize plus a
-  // tag and a length.
-  size_t estimate = 104 + reply.command.size();
-  for (const Value& arg : reply.args) {
-    estimate += arg.ApproxSize() + 12;
-  }
-  enc.Reserve(estimate);
-  enc.PutU8(static_cast<uint8_t>(TypeTag::kRecord));
-  enc.PutVarU64(6);
-  const std::pair<const char*, uint64_t> ids[] = {
-      {"s", session}, {"q", seq}, {"hw", high_water}};
-  for (const auto& [name, id] : ids) {
-    enc.PutString(name);
-    enc.PutU8(static_cast<uint8_t>(TypeTag::kInt));
-    GUARDIANS_RETURN_IF_ERROR(limits.CheckInt(static_cast<int64_t>(id)));
-    enc.PutVarI64(static_cast<int64_t>(id));
-  }
-  enc.PutString("to");
-  enc.PutU8(static_cast<uint8_t>(TypeTag::kPortName));
-  EncodePortName(reply.reply_to, enc);
-  enc.PutString("cmd");
-  enc.PutU8(static_cast<uint8_t>(TypeTag::kString));
-  enc.PutString(reply.command);
-  enc.PutString("args");
-  enc.PutU8(static_cast<uint8_t>(TypeTag::kArray));
-  enc.PutVarU64(reply.args.size());
-  for (const Value& arg : reply.args) {
-    // record (depth 0) > "args" array (depth 1) > each arg (depth 2).
-    GUARDIANS_RETURN_IF_ERROR(EncodeValue(arg, limits, enc, /*depth=*/2));
-  }
-  return OkStatus();
-}
-
-void NodeRuntime::MaybeJournalReply(Envelope& env) {
-  PendingReply pending;
-  uint64_t high_water = 0;
-  {
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    auto it = pending_replies_.find(env.target);
-    if (it == pending_replies_.end()) {
-      return;
-    }
-    pending = it->second;
-    pending_replies_.erase(it);
-    high_water =
-        std::max(dedup_.HighWater(pending.session), pending.seq);
-  }
-  // The reply is journaled from, and then moved into, its cache entry.
-  DedupTable::CachedReply reply{std::move(env.command), std::move(env.args),
-                                env.target};
-  auto cache_reply = [&] {
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    dedup_.CacheReply(pending.session, pending.seq, std::move(reply));
-  };
-  if (g_skip_dedup_journal.load(std::memory_order_relaxed)) {
-    cache_reply();
-    return;
-  }
-  // One record per replied-to operation: identity, the session's receive
-  // high-water mark (recovery's conservative floor), and the reply itself
-  // in component form so RecoverValues can rebuild it without the
-  // abstract-type registry.
-  WireEncoder record;
-  Status st = EncodeDedupRecord(pending.session, pending.seq, high_water,
-                                reply, record);
-  // The append's modelled write latency is owed, not waited, under the log
-  // lock: a process that parks holding it would stall every other replying
-  // process of the node, and a carrier blocked on it could never resume the
-  // sleeper. It is waited below, before the reply leaves.
-  Micros owed{0};
-  {
-    std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
-    Wal dedup_log(&stable_store_, kDedupLogName);
-    if (st.ok()) {
-      st = dedup_log.Append(record.bytes(), &owed);
-    }
-    if (!st.ok()) {
-      GLOG_ERROR << "failed to journal reply for dedup seq " << pending.seq
-                 << ": " << st;
-    }
-    if (st.ok()) {
-      counters_.dedup_journaled->Inc();
-    }
-    // Cache while still holding the log lock: a compaction (below, or in
-    // another replying process) snapshots the cache in place of the log, so
-    // every reply already in the log must be in the cache by then.
-    cache_reply();
-    if (++dedup_appends_since_compact_ >= kDedupCompactEvery) {
-      dedup_appends_since_compact_ = 0;
-      CompactDedupJournalLocked(dedup_log);
-    }
-  }
-  stable_store_.WaitOwed(owed);
-}
-
-void NodeRuntime::CompactDedupJournalLocked(Wal& dedup_log) {
-  // Keep only the live reply cache, installed as the journal's snapshot by
-  // one crash-atomic checkpoint (see RecoverRecords). The live records are
-  // written by the same writer, straight from the table into the snapshot
-  // under one dedup-lock acquisition. A failed checkpoint leaves the journal
-  // as it was; the next compaction tries again.
-  //
-  // Two passes over the table under one dedup-lock hold: the first sizes
-  // each record (encoding it into one reused scratch buffer), the second
-  // writes it, length first, into one buffer of the final size, after
-  // Checkpoint's epoch prefix. The journal's memory then peaks at the old
-  // log plus one copy of the live records, as the re-append it replaces
-  // did; a growing buffer or a list of records would add a second copy.
-  WireEncoder snapshot;
-  {
-    std::lock_guard<std::mutex> lock(dedup_mu_);
-    std::vector<size_t> sizes;
-    sizes.reserve(dedup_.cached_reply_count());
-    size_t total = 8;
-    WireEncoder sized;
-    dedup_.ForEachCachedReply([&](uint64_t session, uint64_t seq,
-                                  const DedupTable::CachedReply& cached) {
-      sized.Clear();
-      const bool ok = EncodeDedupRecord(session, seq,
-                                        dedup_.HighWater(session), cached,
-                                        sized)
-                          .ok();
-      sizes.push_back(ok ? sized.size() : 0);
-      total += ok ? sized.size() + 10 : 0;  // a varint length is <= 10
-    });
-    snapshot.Reserve(total);
-    snapshot.PutU64(0);  // Checkpoint's epoch prefix
-    size_t i = 0;
-    dedup_.ForEachCachedReply([&](uint64_t session, uint64_t seq,
-                                  const DedupTable::CachedReply& cached) {
-      const size_t size = sizes[i++];
-      if (size != 0) {
-        snapshot.PutVarU64(size);
-        (void)EncodeDedupRecord(session, seq, dedup_.HighWater(session),
-                                cached, snapshot);
-      }
-    });
-  }
-  Status checkpointed = dedup_log.Checkpoint(snapshot.Take());
-  if (!checkpointed.ok()) {
-    GLOG_ERROR << "dedup journal compaction failed: " << checkpointed;
-  }
-}
-
-Status NodeRuntime::RecoverDedup() {
-  std::lock_guard<std::mutex> log_lock(dedup_log_mu_);
-  Wal dedup_log(&stable_store_, kDedupLogName);
-  GUARDIANS_ASSIGN_OR_RETURN(std::vector<Value> records,
-                             RecoverRecords(dedup_log));
-  std::lock_guard<std::mutex> lock(dedup_mu_);
-  dedup_.Clear();
-  pending_replies_.clear();
-  for (const auto& record : records) {
-    auto session_field = record.field("s");
-    auto seq_field = record.field("q");
-    if (!session_field.ok() || !seq_field.ok()) {
-      continue;
-    }
-    const uint64_t session =
-        static_cast<uint64_t>(session_field->int_value());
-    auto hw_field = record.field("hw");
-    if (hw_field.ok()) {
-      dedup_.RestoreFloor(session,
-                          static_cast<uint64_t>(hw_field->int_value()));
-    }
-    const uint64_t seq = static_cast<uint64_t>(seq_field->int_value());
-    auto to_field = record.field("to");
-    auto cmd_field = record.field("cmd");
-    auto args_field = record.field("args");
-    if (seq == 0 || !to_field.ok() || !cmd_field.ok() || !args_field.ok()) {
-      continue;
-    }
-    dedup_.CacheReply(session, seq,
-                      DedupTable::CachedReply{cmd_field->string_value(),
-                                              args_field->items(),
-                                              to_field->port_value()});
-  }
-  return OkStatus();
 }
 
 std::string NodeRuntime::Report() const {

@@ -33,6 +33,7 @@
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/spin_park.h"
+#include "src/guardian/dedup.h"
 #include "src/guardian/guardian.h"
 #include "src/guardian/port_registry.h"
 #include "src/net/flow.h"
@@ -167,33 +168,6 @@ class NodeRuntime {
   // retries recognisable as duplicates at the receiver.
   uint64_t SendSession() const { return send_session_.load(); }
   uint64_t NextDedupSeq() { return dedup_seq_.fetch_add(1) + 1; }
-  // The dedup journal is compacted (the live reply cache becomes the
-  // log's checkpoint snapshot) by every this-many-th append, so it stays
-  // proportional to the reply cache rather than to message volume. One
-  // cache's worth (DedupTable::Config::reply_cache_capacity): the snapshot
-  // and the log then never hold more than two caches' worth together,
-  // which is what the log alone held when compaction re-appended the
-  // cache after every 512 appends.
-  static constexpr uint64_t kDedupCompactEvery = 256;
-  // Planted-bug switch for the chaos harness: when true, MaybeJournalReply
-  // skips the durable dedup-journal append (the in-memory table and reply
-  // cache still work). Across a crash the at-most-once floor is then lost,
-  // so a post-recovery duplicate of a completed operation re-executes —
-  // exactly the violation the chaos shrinker must isolate. Process-wide,
-  // tests only; never set in production paths.
-  static void SetSkipDedupJournalForTesting(bool skip);
-  // Second planted-bug switch: when true, the dedup-session idle sweep
-  // measures idleness against the node's *local* (skewable) clock, while
-  // activity stamps use the system's monotonic base clock — the classic
-  // TTL-on-wall-clock bug. A forward skew step of at least the idle
-  // horizon then makes every live session look idle: the sweep forgets
-  // the at-most-once window and the next duplicate of a completed op
-  // re-executes. The correct sweep (flag off) measures stamps and ages on
-  // the same monotonic base clock, so no skew can misfire it. Under the
-  // wall clock node views equal the base clock and the flag changes
-  // nothing — only a simulated-time skew schedule can expose it.
-  // Process-wide, tests only.
-  static void SetDedupSweepOnLocalClockForTesting(bool local);
   // `trace_id` ties the synthesized failure into the lost message's trace.
   void SendSystemFailure(const PortName& to, const std::string& reason,
                          uint64_t trace_id = 0);
@@ -321,17 +295,6 @@ class NodeRuntime {
                        const std::string& guardian_name, GuardianId gid,
                        const ValueList& args);
   void PersistNextId();
-  // If `env` answers a pending tracked request, journal it through the
-  // dedup Wal (before it reaches the network — log-then-reply) and cache
-  // it for replay, moving its command and args into the cache (Transmit
-  // has already encoded them for the wire). Runs on the replying
-  // guardian's thread.
-  void MaybeJournalReply(Envelope& env);
-  // Installs the live reply cache as the dedup journal's checkpoint
-  // (dedup_log_mu_ held).
-  void CompactDedupJournalLocked(Wal& dedup_log);
-  // Rebuild the dedup table from the journal at boot.
-  Status RecoverDedup();
   // Count/trace an unroutable envelope and send its failure(...) reply.
   void FinishUnroutable(const Envelope& env, DropKind kind);
   // Count/trace a push failure, roll back the dedup mark so a retry can
@@ -340,7 +303,8 @@ class NodeRuntime {
                         PushResult pushed);
   // Complete a recognised re-delivery using the dedup gate's verdict:
   // count it, send a replacement ack if the original was dequeued, and
-  // answer from the reply cache on kReplay.
+  // answer from the reply cache on kReplay (its args decoded here, outside
+  // every dedup lock).
   void FinishSuppressed(const Envelope& env, DedupTable::Verdict verdict,
                         DedupTable::CachedReply replay, bool original_acked);
   // Count/trace an envelope shed on arrival because its propagated budget
@@ -389,27 +353,13 @@ class NodeRuntime {
   std::atomic<uint64_t> msg_counter_{0};
 
   // --- At-most-once receiver/sender state -----------------------------------
-  // dedup_mu_ guards the table and the pending-reply map; it is never held
-  // across a Transmit (a cached reply is copied out, then resent outside
-  // the lock, so the journal path cannot deadlock against delivery).
-  mutable std::mutex dedup_mu_;
-  DedupTable dedup_;
-  TimePoint dedup_last_sweep_{};  // idle-GC cadence; guarded by dedup_mu_
-  struct PendingReply {
-    uint64_t session = 0;
-    uint64_t seq = 0;
-  };
-  // reply port of an executing tracked request -> its dedup identity;
-  // filled when the request is enqueued, consumed by the first send the
-  // node makes to that port (the reply).
-  std::unordered_map<PortName, PendingReply, PortNameHash> pending_replies_;
+  // The receiver half: table, reply correlation and journal (dedup.h). It
+  // is never entered across a Transmit: a cached reply is taken out, then
+  // resent outside its locks, so the journal path cannot deadlock against
+  // delivery.
+  DedupLayer dedup_;
   std::atomic<uint64_t> send_session_{0};
   std::atomic<uint64_t> dedup_seq_{0};
-  // Serializes appends/compactions of the dedup journal (several guardian
-  // threads may reply concurrently). Ordered before dedup_mu_ when both
-  // are needed; never held while touching a mailbox or the network.
-  std::mutex dedup_log_mu_;
-  uint64_t dedup_appends_since_compact_ = 0;  // guarded by dedup_log_mu_
 
   // System-wide delivery/drop counters, resolved once at construction so
   // the delivery path's updates are single relaxed atomics. The registry
@@ -434,12 +384,12 @@ class NodeRuntime {
     Counter* acks_sent = nullptr;
     // At-most-once layer (DESIGN.md §10): tracked re-deliveries thrown
     // away instead of executed; those of them answered from the reply
-    // cache; replies that reached the durable dedup journal.
+    // cache; those of them seen only because they sit at or below their
+    // session's window floor with no cached reply (they may never have
+    // run: the loss at-most-once allows, made visible).
     Counter* dup_suppressed = nullptr;
     Counter* dup_replayed = nullptr;
-    Counter* dedup_journaled = nullptr;
-    // Dedup sessions dropped by the idle GC (config dedup_session_idle).
-    Counter* dedup_sessions_expired = nullptr;
+    Counter* dup_below_window = nullptr;
     // Control messages admitted into port headroom above capacity — how
     // often the control-vs-data shedding policy actually fired.
     Counter* control_overflow = nullptr;
@@ -469,17 +419,6 @@ class NodeRuntime {
   // not outlive a crash), reset on restart (the peers' ports may be gone).
   FlowController flow_;
 };
-
-// The §10 dedup journal's record of one cached reply, written into `enc`:
-// byte-identical to the Wal encoding of Value::Record({{"s", session},
-// {"q", seq}, {"hw", high_water}, {"to", reply_to}, {"cmd", command},
-// {"args", Value::Array(args)}}) — the form RecoverDedup reads back — with
-// the same limits and depth bound (the args sit at depth 2), but without
-// building that Value tree or copying the reply. The one writer of reply
-// journaling and of compaction.
-Status EncodeDedupRecord(uint64_t session, uint64_t seq, uint64_t high_water,
-                         const DedupTable::CachedReply& reply,
-                         WireEncoder& enc);
 
 // Factory helper: MakeFactory<MyGuardian>() for RegisterGuardianType.
 template <typename T>

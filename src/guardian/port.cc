@@ -148,147 +148,4 @@ size_t Port::depth() const {
   return queue_.size();
 }
 
-DedupTable::Verdict DedupTable::Classify(uint64_t session, uint64_t seq,
-                                         CachedReply* replay) const {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Verdict::kFresh;
-  }
-  const Session& s = it->second;
-  const bool seen = seq <= s.floor || s.seen.count(seq) > 0;
-  if (!seen) {
-    return Verdict::kFresh;
-  }
-  auto reply = replies_.find(Key{session, seq});
-  if (reply == replies_.end()) {
-    return Verdict::kDuplicate;
-  }
-  if (replay != nullptr) {
-    *replay = reply->second;
-  }
-  return Verdict::kReplay;
-}
-
-void DedupTable::MarkSeen(uint64_t session, uint64_t seq) {
-  Session& s = sessions_[session];
-  s.seen.insert(seq);
-  if (seq > s.high_water) {
-    s.high_water = seq;
-  }
-  // Slide the window: everything at or below the floor is implicitly seen,
-  // so the set only holds the (window)-many most recent seqs.
-  if (s.high_water > config_.window) {
-    s.floor = std::max(s.floor, s.high_water - config_.window);
-  }
-  while (!s.seen.empty() && *s.seen.begin() <= s.floor) {
-    s.seen.erase(s.seen.begin());
-  }
-  while (!s.acked.empty() && *s.acked.begin() <= s.floor) {
-    s.acked.erase(s.acked.begin());
-  }
-}
-
-void DedupTable::Unmark(uint64_t session, uint64_t seq) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return;
-  }
-  // The high-water mark stays where MarkSeen left it — at worst the floor
-  // is conservatively high, which only drops (never re-executes) seqs.
-  it->second.seen.erase(seq);
-  it->second.acked.erase(seq);
-}
-
-void DedupTable::MarkAcked(uint64_t session, uint64_t seq) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end() || seq <= it->second.floor) {
-    return;  // at or below the floor: Acked() already reports true
-  }
-  it->second.acked.insert(seq);
-}
-
-bool DedupTable::Acked(uint64_t session, uint64_t seq) const {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return false;
-  }
-  return seq <= it->second.floor || it->second.acked.count(seq) > 0;
-}
-
-void DedupTable::RestoreFloor(uint64_t session, uint64_t floor) {
-  Session& s = sessions_[session];
-  s.floor = std::max(s.floor, floor);
-  s.high_water = std::max(s.high_water, floor);
-  while (!s.seen.empty() && *s.seen.begin() <= s.floor) {
-    s.seen.erase(s.seen.begin());
-  }
-  while (!s.acked.empty() && *s.acked.begin() <= s.floor) {
-    s.acked.erase(s.acked.begin());
-  }
-}
-
-void DedupTable::CacheReply(uint64_t session, uint64_t seq,
-                            CachedReply reply) {
-  MarkSeen(session, seq);
-  const Key key{session, seq};
-  auto [it, inserted] = replies_.emplace(key, std::move(reply));
-  if (!inserted) {
-    return;  // already cached (journal replay after recovery)
-  }
-  reply_fifo_.push_back(key);
-  while (replies_.size() > config_.reply_cache_capacity) {
-    replies_.erase(reply_fifo_.front());
-    reply_fifo_.pop_front();
-  }
-}
-
-uint64_t DedupTable::HighWater(uint64_t session) const {
-  auto it = sessions_.find(session);
-  return it != sessions_.end() ? it->second.high_water : 0;
-}
-
-void DedupTable::Touch(uint64_t session, TimePoint now) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return;  // only stamp sessions some Mark/Cache call created
-  }
-  if (now > it->second.last_touch) {
-    it->second.last_touch = now;
-  }
-}
-
-size_t DedupTable::ExpireIdleSessions(TimePoint now, Micros idle) {
-  size_t dropped = 0;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    const TimePoint stamp = it->second.last_touch;
-    // Never-stamped sessions (journal recovery) age from epoch zero and
-    // are collectable like any other; future stamps clamp to zero age.
-    const Micros age = now <= stamp
-                           ? Micros(0)
-                           : std::chrono::duration_cast<Micros>(now - stamp);
-    if (age < idle) {
-      ++it;
-      continue;
-    }
-    const uint64_t session = it->first;
-    it = sessions_.erase(it);
-    ++dropped;
-    for (auto r = reply_fifo_.begin(); r != reply_fifo_.end();) {
-      if (r->first == session) {
-        replies_.erase(*r);
-        r = reply_fifo_.erase(r);
-      } else {
-        ++r;
-      }
-    }
-  }
-  return dropped;
-}
-
-void DedupTable::Clear() {
-  sessions_.clear();
-  replies_.clear();
-  reply_fifo_.clear();
-}
-
 }  // namespace guardians

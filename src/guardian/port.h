@@ -20,12 +20,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
-#include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -197,137 +194,6 @@ class Port {
   uint64_t discarded_full_ = 0;  // guarded by mailbox_->mu
   uint64_t discarded_retired_ = 0;  // guarded by mailbox_->mu
   uint64_t control_overflow_ = 0;   // guarded by mailbox_->mu
-};
-
-// Receiver-side at-most-once state (DESIGN.md §10). One table per node
-// tracks, for every sender session, which tracked sequence numbers have
-// already been accepted for execution, plus a bounded FIFO cache of the
-// replies those executions produced. A re-delivered request is either
-// suppressed outright (still executing, reply-less, or evicted — dropping
-// a duplicate is always sound) or answered from the cache without
-// re-executing.
-//
-// Sessions use a high-water mark plus an exact-seen window: sequence
-// numbers above `high_water - window` are checked exactly (reordering
-// within the window never false-positives), anything at or below the
-// window floor is conservatively treated as already seen. At-most-once
-// permits that: losing an ancient straggler is allowed, executing it
-// twice is not.
-//
-// Not internally synchronized — NodeRuntime guards it with its dedup lock
-// (delivery workers of one node may run concurrently for different source
-// shards, and guardian threads cache replies while workers classify).
-class DedupTable {
- public:
-  struct Config {
-    size_t window = 1024;               // exact-seen seqs kept per session
-    size_t reply_cache_capacity = 256;  // cached replies per node (FIFO)
-  };
-
-  // What the original execution sent back; enough to rebuild a reply
-  // envelope (the runtime stamps a fresh msg_id and the duplicate's trace).
-  struct CachedReply {
-    std::string command;
-    ValueList args;
-    PortName reply_to;  // where the original reply went
-  };
-
-  enum class Verdict {
-    kFresh,      // never seen: execute
-    kDuplicate,  // seen, no cached reply (in progress, reply-less, evicted)
-    kReplay,     // seen and the reply is cached: resend it, don't execute
-  };
-
-  DedupTable() = default;
-  explicit DedupTable(Config config) : config_(config) {}
-
-  // Classify an incoming tracked (session, seq). On kReplay, *replay (if
-  // non-null) receives a copy of the cached reply.
-  Verdict Classify(uint64_t session, uint64_t seq, CachedReply* replay) const;
-
-  // Record that (session, seq) was accepted for execution. Marked *before*
-  // the message becomes visible to the guardian (the guardian may reply
-  // the instant it can dequeue, and the reply correlation must already be
-  // in place); a failed push is rolled back with Unmark so a retry can
-  // still land.
-  void MarkSeen(uint64_t session, uint64_t seq);
-
-  // Roll back a MarkSeen whose push failed. Best effort: if the floor has
-  // already slid past `seq` (another in-window op raced far ahead), the
-  // seq stays conservatively seen and the sender's retries are dropped —
-  // a loss at-most-once permits.
-  void Unmark(uint64_t session, uint64_t seq);
-
-  // Record that the receipt acknowledgement for (session, seq) was sent —
-  // i.e. the original was genuinely dequeued by the application. Only then
-  // may a suppressed duplicate carrying an ack port be re-acknowledged; a
-  // duplicate of a message still sitting in the buffer must stay silent so
-  // the sender's timeout semantics hold.
-  void MarkAcked(uint64_t session, uint64_t seq);
-  bool Acked(uint64_t session, uint64_t seq) const;
-
-  // Cache (and implicitly mark seen) the reply for (session, seq). Evicts
-  // the oldest cached reply beyond capacity; an evicted duplicate is then
-  // suppressed without a reply, which at-most-once allows.
-  void CacheReply(uint64_t session, uint64_t seq, CachedReply reply);
-
-  // Highest seq seen for a session (0 if unknown); journaled alongside
-  // cached replies so recovery restores the window floor.
-  uint64_t HighWater(uint64_t session) const;
-
-  // Crash recovery: treat every seq of `session` at or below `floor` as
-  // already seen. Conservative — a pre-crash in-flight op below the floor
-  // is dropped rather than executed, which at-most-once permits (its
-  // sender reports a timeout); what it buys is that nothing executed and
-  // replied-to before the crash can execute again after it.
-  void RestoreFloor(uint64_t session, uint64_t floor);
-
-  // Visit every cached reply, oldest first, as fn(session, seq, reply) —
-  // the compaction snapshot, read in place.
-  template <typename Fn>
-  void ForEachCachedReply(Fn&& fn) const {
-    for (const Key& key : reply_fifo_) {
-      auto it = replies_.find(key);
-      if (it != replies_.end()) {
-        fn(key.first, key.second, it->second);
-      }
-    }
-  }
-
-  // Stamp activity for `session` at `now` (the node's clock). NodeRuntime
-  // calls this from the batch dedup gate for every tracked envelope, so a
-  // sender that keeps talking keeps its session alive.
-  void Touch(uint64_t session, TimePoint now);
-
-  // Drop every session idle for at least `idle` (plus its cached replies)
-  // and return how many were dropped. Dropping a session forgets its
-  // window — a *later* duplicate from that sender would classify kFresh
-  // and re-execute — so the idle horizon must exceed any retry span. A
-  // stamp in the future of `now` (the sweep raced a backward clock-skew
-  // step) counts as current, never as idle: elapsed time is clamped at
-  // zero, so skew can only delay a GC, not misfire one.
-  size_t ExpireIdleSessions(TimePoint now, Micros idle);
-
-  void Clear();
-
-  size_t session_count() const { return sessions_.size(); }
-  size_t cached_reply_count() const { return replies_.size(); }
-
- private:
-  struct Session {
-    uint64_t high_water = 0;
-    uint64_t floor = 0;        // every seq <= floor counts as seen
-    std::set<uint64_t> seen;   // exact seqs in (floor, high_water]
-    std::set<uint64_t> acked;  // subset of seen whose receipt ack went out
-    TimePoint last_touch{};    // last Touch(); epoch-zero = never stamped
-  };
-
-  using Key = std::pair<uint64_t, uint64_t>;  // (session, seq)
-
-  Config config_;
-  std::unordered_map<uint64_t, Session> sessions_;
-  std::map<Key, CachedReply> replies_;
-  std::deque<Key> reply_fifo_;  // eviction order
 };
 
 }  // namespace guardians

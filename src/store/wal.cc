@@ -29,18 +29,31 @@ uint64_t DecodeU64Le(const Bytes& in) {
 }  // namespace
 
 Wal::Wal(StableStore* store, std::string name)
-    : store_(store), name_(std::move(name)) {}
+    : store_(store), name_(std::move(name)), log_stream_(name_ + ".log") {}
 
 Status Wal::Append(const Bytes& payload, Micros* owed_latency) {
-  // One pre-sized frame: header and payload go into a single buffer
-  // instead of encoding the header and then splicing the payload after it.
+  // One pre-sized frame: header room and payload go into a single buffer.
   WireEncoder enc;
-  enc.Reserve(8 + payload.size());
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU32(Crc32(payload));
+  enc.Reserve(kFrameHeader + payload.size());
+  enc.PutU64(0);
   enc.PutBytes(payload);
-  GUARDIANS_RETURN_IF_ERROR(
-      store_->Append(LogStream(), enc.Take(), owed_latency));
+  Bytes frame = enc.Take();
+  return AppendFrame(frame, owed_latency);
+}
+
+Status Wal::AppendFrame(Bytes& frame, Micros* owed_latency) {
+  if (frame.size() < kFrameHeader) {
+    return Status(Code::kInvalidArgument, "frame lacks its header");
+  }
+  const ConstByteSpan payload(frame.data() + kFrameHeader,
+                              frame.size() - kFrameHeader);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload);
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<uint8_t>(len >> (8 * i));
+    frame[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  GUARDIANS_RETURN_IF_ERROR(store_->Append(log_stream_, frame, owed_latency));
   appended_.fetch_add(1);
   return OkStatus();
 }
@@ -67,7 +80,7 @@ Status Wal::Checkpoint(Bytes snapshot) {
   const Bytes epoch_le = EncodeU64Le(epoch);
   std::copy(epoch_le.begin(), epoch_le.end(), snapshot.begin());
   GUARDIANS_RETURN_IF_ERROR(store_->PutCell(SnapCell(), std::move(snapshot)));
-  Status truncated = store_->Truncate(LogStream(), 0);
+  Status truncated = store_->Truncate(log_stream_, 0);
   if (!truncated.ok() && truncated.code() != Code::kNotFound) {
     return truncated;  // kNotFound just means nothing was ever appended
   }
@@ -94,7 +107,7 @@ Result<WalRecovery> Wal::Recover() {
     // snapshot (appends only resume after Checkpoint returns), so replaying
     // them would double-apply; discard them and roll the repair forward.
     out.interrupted_checkpoint = true;
-    Status truncated = store_->Truncate(LogStream(), 0);
+    Status truncated = store_->Truncate(log_stream_, 0);
     if (!truncated.ok() && truncated.code() != Code::kNotFound) {
       return truncated;
     }
@@ -102,8 +115,22 @@ Result<WalRecovery> Wal::Recover() {
         store_->PutCell(EpochCell(), EncodeU64Le(snap_epoch)));
     return out;
   }
+  GUARDIANS_RETURN_IF_ERROR(ReadLogInto(out));
+  return out;
+}
 
-  const Bytes raw = store_->Read(LogStream());
+Result<WalRecovery> Wal::ReadLog() const {
+  WalRecovery out;
+  GUARDIANS_RETURN_IF_ERROR(ReadLogInto(out));
+  return out;
+}
+
+Status Wal::Truncate(size_t new_size) {
+  return store_->Truncate(log_stream_, new_size);
+}
+
+Status Wal::ReadLogInto(WalRecovery& out) const {
+  const Bytes raw = store_->Read(log_stream_);
   size_t pos = 0;
   while (pos < raw.size()) {
     if (raw.size() - pos < 8) {
@@ -133,7 +160,8 @@ Result<WalRecovery> Wal::Recover() {
     out.records.emplace_back(body.begin(), body.end());
     pos += 8 + len;
   }
-  return out;
+  out.log_bytes = pos;
+  return OkStatus();
 }
 
 Result<std::vector<Value>> Wal::RecoverValues() {
@@ -149,6 +177,6 @@ Result<std::vector<Value>> Wal::RecoverValues() {
   return values;
 }
 
-size_t Wal::SizeBytes() const { return store_->StreamSize(LogStream()); }
+size_t Wal::SizeBytes() const { return store_->StreamSize(log_stream_); }
 
 }  // namespace guardians

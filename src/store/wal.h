@@ -41,6 +41,9 @@ struct WalRecovery {
   // the snapshot won, the covered log records were discarded and the
   // half-done checkpoint was rolled forward.
   bool interrupted_checkpoint = false;
+  // Length of the log up to the end of its last whole frame: where a torn
+  // tail starts, so a caller that appends again can truncate it first.
+  size_t log_bytes = 0;
 };
 
 class Wal {
@@ -53,6 +56,13 @@ class Wal {
   // `owed_latency`, leaves the wait for stability to the caller
   // (StableStore::Append).
   Status Append(const Bytes& payload, Micros* owed_latency = nullptr);
+  // Append one record that the caller encoded straight into its frame:
+  // `frame` starts with kFrameHeader reserved bytes, the record follows.
+  // The length and checksum go into the reserved bytes in place, and the
+  // frame reaches the device as it is, with no copy into a second buffer.
+  // The caller keeps the frame.
+  static constexpr size_t kFrameHeader = 8;
+  Status AppendFrame(Bytes& frame, Micros* owed_latency = nullptr);
   // Convenience: wire-encode a Value as the record payload.
   Status AppendValue(const Value& v);
 
@@ -69,6 +79,12 @@ class Wal {
   // Read everything back (the recovery process's input). Non-const: it
   // rolls an interrupted checkpoint forward on the store.
   Result<WalRecovery> Recover();
+  // The record log alone, for a log that is never checkpointed: no cell is
+  // read and nothing is written.
+  Result<WalRecovery> ReadLog() const;
+  // Cut the record log to its first `new_size` bytes, for a log that is
+  // never checkpointed (kNotFound if nothing was ever appended).
+  Status Truncate(size_t new_size);
   // Value-decoding variant for logs written with AppendValue.
   Result<std::vector<Value>> RecoverValues();
 
@@ -80,14 +96,17 @@ class Wal {
   const std::string& name() const { return name_; }
 
  private:
-  std::string LogStream() const { return name_ + ".log"; }
   std::string SnapCell() const { return name_ + ".snap"; }
   std::string EpochCell() const { return name_ + ".epoch"; }
 
   uint64_t CommittedEpoch() const;
+  // Parses the log's frames into `out` (records, torn_tail, log_bytes).
+  Status ReadLogInto(WalRecovery& out) const;
 
   StableStore* store_;
   std::string name_;
+  // The record stream's name, built once: an append names it on every call.
+  std::string log_stream_;
   std::atomic<uint64_t> appended_{0};
 };
 

@@ -208,11 +208,11 @@ TEST(AllocBudgetTest, RemoteCallRoundTripIsBounded) {
   // The whole real path of one call, on every thread it touches: type
   // check, encode, dedup gate and journal, fragment, network, delivery
   // batch, port, receive, the echo's reply and its way back. 2,000
-  // sequential calls span about eight dedup-journal compactions (one per
-  // kDedupCompactEvery replies), so the budget includes their share. Each
-  // request and reply is sent by a thread that has just received, so its
-  // sender delivers it (an inline drain); the test checks that, so the
-  // budget measures the path perfbench runs.
+  // sequential calls span about eight dedup-journal rotations (one per
+  // DedupLayer::kSegmentReplies replies), so the budget includes their
+  // share. Each request and reply is sent by a thread that has just
+  // received, so its sender delivers it (an inline drain); the test checks
+  // that, so the budget measures the path perfbench runs.
   constexpr int kWarmup = 600;
   constexpr int kCalls = 2000;
   constexpr double kBudgetPerCall = 30;

@@ -5,6 +5,7 @@
 #include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -293,7 +294,9 @@ TEST(TaskTest, RepliesJournaledWithWriteLatencyNeverStallTheCarriers) {
   // Tracked replies are journaled under the node's log lock, and the store
   // models a write latency. With more replying guardians than carriers,
   // a task that slept that latency holding the lock would leave every
-  // carrier blocked on it, and the calls would never finish.
+  // carrier blocked on it, and the calls would never finish. The calls
+  // span at least one journal rotation, whose floor appends owe their
+  // latency the same way.
   System system;
   NodeRuntime& client = system.AddNode("client");
   NodeRuntime& server = system.AddNode("server");
@@ -335,7 +338,8 @@ TEST(TaskTest, RepliesJournaledWithWriteLatencyNeverStallTheCarriers) {
     ASSERT_TRUE(echo.ok());
     echoes.push_back((*echo)->ProvidedPorts()[0]);
   }
-  constexpr int kCalls = 10;
+  const int kCalls = std::max<int>(
+      10, static_cast<int>(DedupLayer::kSegmentReplies / kEchoes) + 2);
   std::atomic<int> ok{0};
   std::vector<std::thread> callers;
   for (size_t i = 0; i < kEchoes; ++i) {
@@ -355,6 +359,7 @@ TEST(TaskTest, RepliesJournaledWithWriteLatencyNeverStallTheCarriers) {
     caller.join();
   }
   EXPECT_EQ(ok.load(), static_cast<int>(kEchoes) * kCalls);
+  EXPECT_GE(system.metrics().CounterValue("node.dedup.rotations"), 1u);
 }
 
 // A world of `guardians` guardians, each with a process blocked in Receive.
